@@ -26,34 +26,11 @@ def test_epoch_engine_throughput_small(benchmark):
 
 
 def test_epoch_engine_paper_scale_redis(benchmark):
-    """Five epochs of the FULL 17.2GB Redis footprint, hierarchical path.
+    """Five epochs of the FULL 17.2GB Redis footprint.
 
     Times the *engine* (workload construction happens outside the timed
-    region — it is one-time setup, not per-epoch cost) on the vectorized
-    hierarchical profile path: one Poisson draw per 2MB page, subpage
-    resolution only for the monitored sample.
-    """
-    workload = make_workload("redis", scale=1.0)
-
-    def run():
-        return run_simulation(
-            workload,
-            ThermostatPolicy(),
-            SimulationConfig(
-                duration=150, epoch=30, seed=1, profile_mode="hierarchical"
-            ),
-        )
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.stats.counter("epochs").value == 5
-    assert result.state.num_huge_pages > 8000
-
-
-def test_epoch_engine_paper_scale_redis_subpage(benchmark):
-    """The same paper-scale run on the per-4KB-draw subpage path.
-
-    Kept alongside the hierarchical benchmark so the BENCH trajectory
-    records the speedup ratio, not just the fast path's absolute time.
+    region — it is one-time setup, not per-epoch cost): one Poisson draw
+    per 2MB page, subpage resolution only for the monitored sample.
     """
     workload = make_workload("redis", scale=1.0)
 
@@ -64,7 +41,7 @@ def test_epoch_engine_paper_scale_redis_subpage(benchmark):
             SimulationConfig(duration=150, epoch=30, seed=1),
         )
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.stats.counter("epochs").value == 5
     assert result.state.num_huge_pages > 8000
 

@@ -75,24 +75,18 @@ def _engine_metrics(result) -> dict[str, float]:
     }
 
 
-def _run_redis(scale: float, profile_mode: str, duration: float) -> dict[str, float]:
+def _run_redis(scale: float, duration: float) -> dict[str, float]:
     workload = make_workload("redis", scale=scale)
-    config = SimulationConfig(
-        duration=duration, epoch=30.0, seed=1, profile_mode=profile_mode
-    )
+    config = SimulationConfig(duration=duration, epoch=30.0, seed=1)
     return _engine_metrics(run_simulation(workload, ThermostatPolicy(), config))
 
 
 def _run_engine_small() -> dict[str, float]:
-    return _run_redis(scale=0.02, profile_mode="subpage", duration=300.0)
-
-
-def _run_paper_subpage() -> dict[str, float]:
-    return _run_redis(scale=1.0, profile_mode="subpage", duration=150.0)
+    return _run_redis(scale=0.02, duration=300.0)
 
 
 def _run_paper_hierarchical() -> dict[str, float]:
-    return _run_redis(scale=1.0, profile_mode="hierarchical", duration=150.0)
+    return _run_redis(scale=1.0, duration=150.0)
 
 
 def _run_fleet_small() -> dict[str, float]:
@@ -141,14 +135,11 @@ def _run_service_decisions() -> dict[str, float]:
 SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
         name="engine-small-redis",
-        description="redis @ 2% scale, 10 epochs, subpage profiles",
+        description="redis @ 2% scale, 10 epochs",
         run=_run_engine_small,
     ),
-    Scenario(
-        name="paper-redis-subpage",
-        description="redis @ paper scale, 5 epochs, subpage profiles",
-        run=_run_paper_subpage,
-    ),
+    # ``paper-redis-subpage`` (BENCH_8/9) timed the per-4KB sampler, which
+    # no longer exists; the hierarchical one is the only profile path.
     Scenario(
         name="paper-redis-hierarchical",
         description="redis @ paper scale, 5 epochs, hierarchical profiles",

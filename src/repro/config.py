@@ -270,14 +270,6 @@ class SimulationConfig:
     #: Draw per-epoch access counts from a Poisson around the rate model
     #: (True) or use deterministic expectations (False, for tests).
     stochastic: bool = True
-    #: How the workload renders each epoch's access profile.  ``"subpage"``
-    #: (the historical path) draws one Poisson count per 4KB page;
-    #: ``"hierarchical"`` draws one total per 2MB page and resolves exact
-    #: subpage detail only for the pages split for monitoring — the
-    #: vectorized hot path for paper-scale footprints.  Hierarchical mode
-    #: requires ``stochastic`` runs; deterministic runs fall back to the
-    #: subpage path.
-    profile_mode: str = "subpage"
     #: Fault-injection knobs; the default injects nothing.
     faults: FaultConfig = field(default_factory=FaultConfig)
     extra: dict[str, object] = field(default_factory=dict)
@@ -293,11 +285,6 @@ class SimulationConfig:
         if self.footprint_scale <= 0:
             raise ConfigError(
                 f"footprint_scale must be positive: {self.footprint_scale}"
-            )
-        if self.profile_mode not in ("subpage", "hierarchical"):
-            raise ConfigError(
-                f"profile_mode must be 'subpage' or 'hierarchical': "
-                f"{self.profile_mode!r}"
             )
         tail = self.truncated_tail
         if tail > 1e-6 * self.epoch:

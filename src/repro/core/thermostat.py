@@ -204,6 +204,9 @@ class ThermostatPolicy(PlacementPolicy):
         # ------------------------------------------------------------------
         sample = self._pending_sample
         sample = sample[sample < state.num_huge_pages]
+        # Only pages split in *this* state were monitored: a policy handed
+        # a fresh engine (live retuning) finds its old sample unsplit.
+        sample = sample[state.split[sample]]
         if sample.size:
             with obs.phase("sample"):
                 scan = poison_scan_batch(

@@ -59,7 +59,10 @@ def measure_idle(
     placement_rates = []
     time = warmup
     for _ in range(windows):
-        profile = workload.epoch_profile(time, IDLE_WINDOW, rng, stochastic=True)
+        # Idleness is a 2MB-grain question: no 4KB rows needed.
+        profile = workload.epoch_profile(
+            time, IDLE_WINDOW, rng, resolve=np.empty(0, dtype=np.int64)
+        )
         huge_counts = profile.huge_counts()
         idle_mask = huge_counts == 0
         idle_fractions.append(float(idle_mask.mean()))

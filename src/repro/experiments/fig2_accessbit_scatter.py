@@ -95,8 +95,8 @@ def run(
     accessed_windows = []
     time = warmup
     for _ in range(CONSECUTIVE_SCANS):
-        profile = workload.epoch_profile(time, SCAN_INTERVAL, rng, stochastic=True)
-        sub = profile.subpage_counts()[chosen]
+        profile = workload.epoch_profile(time, SCAN_INTERVAL, rng, resolve=chosen)
+        sub = profile.subpage_rows(chosen)
         accessed_windows.append(sub > 0)
         time += SCAN_INTERVAL
     hot_subpages = np.logical_and.reduce(accessed_windows).sum(axis=1)

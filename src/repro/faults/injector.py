@@ -30,7 +30,6 @@ from repro.faults.models import (
 )
 from repro.rng import child_rng
 from repro.sim.profile import EpochProfile
-from repro.units import SUBPAGES_PER_HUGE_PAGE
 
 
 @dataclass(frozen=True)
@@ -154,15 +153,7 @@ class FaultInjector:
         lost = self.samples.lost_pages(profile.num_huge_pages)
         if lost.size == 0:
             return profile, lost
-        counts = profile.subpage_counts().copy()
-        counts[lost] = 0
-        degraded = EpochProfile(
-            start_time=profile.start_time,
-            duration=profile.duration,
-            counts=counts.reshape(profile.num_huge_pages * SUBPAGES_PER_HUGE_PAGE),
-            write_fraction=profile.write_fraction,
-        )
-        return degraded, lost
+        return profile.without_pages(lost), lost
 
     def sample_ue_pages(
         self, write_counts: np.ndarray, slow_ids: np.ndarray

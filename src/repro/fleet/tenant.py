@@ -15,8 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.config import SimulationConfig, ThermostatConfig
 from repro.core.thermostat import ThermostatPolicy
 from repro.errors import ConfigError
@@ -203,13 +201,7 @@ class Tenant:
         factor = self.interference_factor * self.throttle_factor
         if factor == 1.0:
             return profile
-        counts = np.rint(profile.counts * factor).astype(np.int64)
-        return EpochProfile(
-            start_time=profile.start_time,
-            duration=profile.duration,
-            counts=counts,
-            write_fraction=profile.write_fraction,
-        )
+        return profile.scaled(factor)
 
     def start(self, injector=None) -> None:
         """Begin stepping (called at admission)."""

@@ -323,21 +323,15 @@ class EpochSimulation:
                 self.state.grow(needed)
                 if wear is not None:
                     wear.grow(needed)
-            if profile is not None:
-                pass  # externally ingested epoch; no workload draw at all
-            elif self.config.profile_mode == "hierarchical" and self.config.stochastic:
-                # Vectorized hot path: one draw per 2MB page, exact subpage
-                # resolution only for the pages currently split for
-                # monitoring (the only subpage detail the policy reads).
-                profile = self.workload.epoch_profile_hierarchical(
+            if profile is None:
+                # One draw per 2MB page; 4KB rows only for the pages split
+                # for monitoring, the only subpage detail the policy reads.
+                profile = self.workload.epoch_profile(
                     start,
                     epoch,
                     self._workload_rng,
-                    resolve_ids=np.flatnonzero(self.state.split),
-                )
-            else:
-                profile = self.workload.epoch_profile(
-                    start, epoch, self._workload_rng, stochastic=self.config.stochastic
+                    stochastic=self.config.stochastic,
+                    resolve=np.flatnonzero(self.state.split),
                 )
             if profile.num_huge_pages != self.state.num_huge_pages:
                 raise SimulationError(

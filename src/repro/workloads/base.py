@@ -17,7 +17,7 @@ import abc
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.profile import EpochProfile, HierarchicalEpochProfile
+from repro.sim.profile import EpochProfile
 from repro.units import BASE_PAGE_SIZE, SUBPAGES_PER_HUGE_PAGE, bytes_to_pages
 
 
@@ -27,6 +27,22 @@ def pad_to_huge(num_base_pages: int) -> int:
     if remainder:
         num_base_pages += SUBPAGES_PER_HUGE_PAGE - remainder
     return num_base_pages
+
+
+def _split_totals(
+    totals: np.ndarray,
+    huge_rates: np.ndarray,
+    weights: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Split each huge page's total across its 512 subpages by rate.
+
+    ``weights`` holds the pages' subpage rates, one row per total; a page
+    without traffic (total and rate 0) gets an all-zero row.
+    """
+    safe = np.where(huge_rates > 0, huge_rates, 1.0)[:, None]
+    pvals = np.where(huge_rates[:, None] > 0, weights / safe, 1.0 / SUBPAGES_PER_HUGE_PAGE)
+    return rng.multinomial(totals, pvals)
 
 
 class Workload(abc.ABC):
@@ -45,8 +61,8 @@ class Workload(abc.ABC):
     write_fraction:
         Fraction of memory accesses that are writes.
     burstiness:
-        Sigma of a per-page, per-epoch log-normal rate multiplier (mean 1).
-        Real request streams are bursty: a page's epoch-to-epoch traffic
+        Sigma of a per-huge-page, per-epoch log-normal rate multiplier
+        (mean 1).  Real request streams are bursty: a page's epoch-to-epoch traffic
         fluctuates around its long-run rate.  Burstiness is what produces
         genuine mis-classifications (a page measured during a lull looks
         cold) and hence the correction traffic of Table 3 and the
@@ -152,11 +168,12 @@ class Workload(abc.ABC):
         traffic compressed into the active epochs).  Returns ``None`` when
         duty cycling is disabled.
         """
+        return self._duty(rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE).sum(axis=1))
+
+    def _duty(self, huge_rates: np.ndarray) -> np.ndarray | None:
         if self.duty_threshold is None:
             return None
-        huge_rates = rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE).sum(axis=1)
-        duty = huge_rates / self.duty_threshold
-        return np.clip(duty, self.duty_floor, 1.0)
+        return np.clip(huge_rates / self.duty_threshold, self.duty_floor, 1.0)
 
     def _advance_duty_state(
         self, duty: np.ndarray, rng: np.random.Generator
@@ -191,103 +208,64 @@ class Workload(abc.ABC):
         duration: float,
         rng: np.random.Generator,
         stochastic: bool = True,
+        resolve: np.ndarray | None = None,
     ) -> EpochProfile:
-        """Render one epoch of accesses.
+        """Render one epoch of accesses, top-down.
 
-        With ``stochastic`` the per-page counts are Poisson draws around
-        ``rate * duration``; otherwise they are the rounded expectations.
+        With ``stochastic``, each 2MB page draws one Poisson total around
+        its expected traffic — its summed subpage rates times
+        ``duration``, scaled by the page's duty state and its burst
+        multiplier — and the huge pages in ``resolve`` (every page when
+        ``None``) get 4KB rows by multinomially splitting their totals
+        across their subpage rates.  By Poisson thinning those rows are
+        distributed exactly like independent per-4KB Poisson draws that
+        share the page's multiplier.  Without ``stochastic`` every 4KB
+        page gets its rounded expectation.
+
+        The one modeling choice is the burst multiplier's grain: it is
+        drawn per 2MB page, so a burst or lull moves a whole huge page —
+        the grain Thermostat classifies and migrates at.
+
+        RNG contract: ``rng`` pays the same draws whatever is resolved —
+        the duty chain, one burst factor and one Poisson total per huge
+        page, then one seed — and the rows come from a generator built
+        from that seed.  So the totals, and every later epoch, are the
+        same whichever pages a caller resolves: resolving is a view of
+        the draw, not a different draw.
         """
         if duration <= 0:
             raise WorkloadError(f"{self.name}: epoch duration must be positive")
         rates = np.asarray(self.rates_at(start_time), dtype=float)
-        expected = rates * duration
+        weights = rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE)
+        ids: slice | np.ndarray = (
+            slice(None) if resolve is None else np.asarray(resolve, dtype=np.int64)
+        )
         if stochastic:
-            duty = self.huge_page_duty(rates)
+            huge_rates = weights.sum(axis=1)
+            expected = huge_rates * duration
+            duty = self._duty(huge_rates)
             if duty is not None:
                 active = self._advance_duty_state(duty, rng)
-                factor = np.where(active, 1.0 / duty, 0.0)
-                expected = expected * np.repeat(factor, SUBPAGES_PER_HUGE_PAGE)
+                expected = expected * np.where(active, 1.0 / duty, 0.0)
             if self.burstiness > 0:
                 sigma = self.burstiness
                 # Mean-one log-normal multiplier: bursts and lulls.
-                factors = rng.lognormal(
+                expected = expected * rng.lognormal(
                     mean=-0.5 * sigma * sigma, sigma=sigma, size=expected.size
                 )
-                expected = expected * factors
-            # Poisson draws; numpy handles lam=0 fine (always 0).
-            counts = rng.poisson(expected)
+            totals = rng.poisson(expected)
+            resolver = np.random.default_rng(int(rng.integers(2**63)))
+            rows = _split_totals(totals[ids], huge_rates[ids], weights[ids], resolver)
         else:
-            counts = np.rint(expected).astype(np.int64)
-        return EpochProfile(
-            start_time=start_time,
-            duration=duration,
-            counts=counts.astype(np.int64),
-            write_fraction=self.write_fraction,
-        )
-
-    def epoch_profile_hierarchical(
-        self,
-        start_time: float,
-        duration: float,
-        rng: np.random.Generator,
-        resolve_ids: np.ndarray | None = None,
-    ) -> "HierarchicalEpochProfile":
-        """Render one epoch top-down (the vectorized hot path).
-
-        Instead of 4.5M per-subpage draws, draw one Poisson total per
-        huge page — the sum of independent Poissons is Poisson of the
-        summed rate — and resolve exact subpage detail only for
-        ``resolve_ids`` (the pages split for monitoring this interval) by
-        multinomially thinning each page's total across its subpage
-        weights, which reproduces the per-subpage Poisson law exactly.
-
-        Two deliberate modeling deltas vs. :meth:`epoch_profile`, both
-        at 2MB granularity: the burstiness multiplier is drawn per huge
-        page (page-level bursts are what drive mis-classification; 512
-        independent subpage factors average out of the 2MB aggregate),
-        and unresolved pages carry no subpage-grain noise (nothing in the
-        epoch engine reads it).  Draw streams therefore differ from the
-        subpage path; the distribution equivalence is property-tested in
-        ``tests/property/test_prop_kernels.py``.
-        """
-        if duration <= 0:
-            raise WorkloadError(f"{self.name}: epoch duration must be positive")
-        rates = np.asarray(self.rates_at(start_time), dtype=float)
-        view2d = rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE)
-        huge_rates = view2d.sum(axis=1)
-        expected = huge_rates * duration
-        if self.duty_threshold is not None:
-            duty = np.clip(
-                huge_rates / self.duty_threshold, self.duty_floor, 1.0
+            rounded = np.rint(weights * duration).astype(np.int64)
+            totals = rounded.sum(axis=1)
+            rows = rounded[ids]
+        if resolve is None:
+            return EpochProfile(
+                start_time, duration, rows.reshape(rates.size), self.write_fraction
             )
-            active = self._advance_duty_state(duty, rng)
-            expected = expected * np.where(active, 1.0 / duty, 0.0)
-        if self.burstiness > 0:
-            sigma = self.burstiness
-            factors = rng.lognormal(
-                mean=-0.5 * sigma * sigma, sigma=sigma, size=expected.size
-            )
-            expected = expected * factors
-        totals = rng.poisson(expected)
-        if resolve_ids is None:
-            resolve_ids = np.empty(0, dtype=np.int64)
-        resolve_ids = np.asarray(resolve_ids, dtype=np.int64)
-        if resolve_ids.size:
-            weights = view2d[resolve_ids]
-            mass = weights.sum(axis=1, keepdims=True)
-            safe = np.where(mass > 0, mass, 1.0)
-            pvals = np.where(mass > 0, weights / safe, 1.0 / SUBPAGES_PER_HUGE_PAGE)
-            rows = rng.multinomial(totals[resolve_ids], pvals)
-        else:
-            rows = np.empty((0, SUBPAGES_PER_HUGE_PAGE), dtype=np.int64)
-        return HierarchicalEpochProfile(
-            start_time=start_time,
-            duration=duration,
-            huge_totals=totals,
-            resolved_ids=resolve_ids,
-            resolved_rows=rows,
-            spread_weights=view2d,
-            write_fraction=self.write_fraction,
+        return EpochProfile.sampled(
+            start_time, duration, totals, resolve, rows, self.write_fraction
         )
 
     def total_access_rate(self, time: float = 0.0) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.sim.profile import EpochProfile
 from repro.units import SUBPAGES_PER_HUGE_PAGE
 from repro.workloads.base import Workload
 
@@ -94,19 +95,38 @@ class CompositeWorkload(Workload):
             cursor += pages
         return np.concatenate(segments)
 
-    def epoch_profile(self, start_time, duration, rng, stochastic=True):
+    def epoch_profile(
+        self, start_time, duration, rng, stochastic=True, resolve=None
+    ):
         """Concatenate member profiles (preserving member duty/burst state)."""
-        profiles = [
-            m.epoch_profile(start_time, duration, rng, stochastic=stochastic)
-            for m in self.members
-        ]
-        from repro.sim.profile import EpochProfile
-
-        return EpochProfile(
-            start_time=start_time,
-            duration=duration,
-            counts=np.concatenate([p.counts for p in profiles]),
-            write_fraction=self.write_fraction,
+        if resolve is not None:
+            resolve = np.asarray(resolve, dtype=np.int64)
+        profiles, resolved, rows = [], [], []
+        for member, (start, end) in zip(self.members, self._offsets, strict=True):
+            ids = None
+            if resolve is not None:
+                ids = resolve[(resolve >= start) & (resolve < end)] - start
+            profile = member.epoch_profile(
+                start_time, duration, rng, stochastic=stochastic, resolve=ids
+            )
+            profiles.append(profile)
+            if ids is not None:
+                resolved.append(ids + start)
+                rows.append(profile.subpage_rows(ids))
+        if resolve is None:
+            return EpochProfile(
+                start_time,
+                duration,
+                np.concatenate([p.counts for p in profiles]),
+                self.write_fraction,
+            )
+        return EpochProfile.sampled(
+            start_time,
+            duration,
+            np.concatenate([p.huge_counts() for p in profiles]),
+            np.concatenate(resolved),
+            np.concatenate(rows),
+            self.write_fraction,
         )
 
     def member_cold_fractions(self, slow_mask: np.ndarray) -> dict[str, float]:

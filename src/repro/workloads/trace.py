@@ -149,7 +149,9 @@ class TraceWorkload(Workload):
         duration: float,
         rng: np.random.Generator,
         stochastic: bool = True,
+        resolve: np.ndarray | None = None,
     ) -> EpochProfile:
+        """The next recorded profile (recorded profiles resolve every page)."""
         if self._cursor >= len(self.trace.profiles):
             raise WorkloadError(
                 f"trace exhausted after {len(self.trace.profiles)} epochs"

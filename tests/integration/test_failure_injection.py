@@ -32,7 +32,7 @@ def small_workload(num_huge=4):
 class LyingWorkload(RateModelWorkload):
     """Reports one footprint but emits profiles for another."""
 
-    def epoch_profile(self, start_time, duration, rng, stochastic=True):
+    def epoch_profile(self, start_time, duration, rng, stochastic=True, resolve=None):
         profile = super().epoch_profile(start_time, duration, rng, stochastic)
         from repro.sim.profile import EpochProfile
 

@@ -9,9 +9,8 @@ Three contracts:
   changed no simulation output.
 * ``select_cold_pages`` returns its halves coldest-first (the ordering
   the demotion cap and backpressure truncation rely on).
-* :class:`HierarchicalEpochProfile` is exact everywhere the engine reads
-  it (totals, resolved subpage rows) and total-preserving where it
-  approximates (dense materialization).
+* :class:`EpochProfile` is exact everywhere it answers (totals, resolved
+  subpage rows) and refuses rows that were never drawn.
 """
 
 import numpy as np
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.classifier import select_cold_pages
 from repro.core.sampling import choose_poison_subpages, poison_scan_batch
 from repro.rng import make_rng
-from repro.sim.profile import HierarchicalEpochProfile
+from repro.sim.profile import EpochProfile
 from repro.units import SUBPAGES_PER_HUGE_PAGE
 
 
@@ -117,13 +116,12 @@ class TestHierarchicalProfile:
             weights[resolve_ids] / weights[resolve_ids].sum(1, keepdims=True),
         )
         return (
-            HierarchicalEpochProfile(
+            EpochProfile.sampled(
                 start_time=0.0,
                 duration=30.0,
                 huge_totals=totals,
                 resolved_ids=resolve_ids,
                 resolved_rows=rows,
-                spread_weights=weights,
             ),
             totals,
             resolve_ids,
@@ -138,17 +136,33 @@ class TestHierarchicalProfile:
     def test_resolved_rows_exact(self):
         profile, _, resolve_ids, rows = self._make()
         assert np.array_equal(profile.subpage_rows(resolve_ids), rows)
+        assert np.array_equal(profile.resolved_ids, np.sort(resolve_ids))
 
-    def test_materialization_preserves_totals(self):
-        profile, totals, _, _ = self._make()
-        dense = profile.subpage_counts()
-        assert np.array_equal(dense.sum(axis=1), totals)
-        assert np.all(dense >= 0)
+    def test_unresolved_rows_refused(self):
+        """Rows nobody drew are an error, not a guess."""
+        import pytest
 
-    def test_materialized_resolved_rows_survive(self):
-        profile, _, resolve_ids, rows = self._make()
-        dense = profile.subpage_counts()
-        assert np.array_equal(dense[resolve_ids], rows)
+        from repro.errors import WorkloadError
+
+        profile, _, _, _ = self._make()
+        with pytest.raises(WorkloadError, match="not resolved"):
+            profile.subpage_rows(np.array([2, 3]))
+        with pytest.raises(WorkloadError, match="not resolved"):
+            _ = profile.counts
+
+    def test_derived_profiles_stay_consistent(self):
+        """scaled() and without_pages() keep rows summing to totals."""
+        profile, totals, resolve_ids, rows = self._make()
+        half = profile.scaled(0.5)
+        assert np.array_equal(half.subpage_rows(resolve_ids), np.rint(rows * 0.5))
+        unresolved = np.setdiff1d(np.arange(totals.size), resolve_ids)
+        assert np.array_equal(
+            half.huge_counts()[unresolved], np.rint(totals[unresolved] * 0.5)
+        )
+        quiet = profile.without_pages(np.array([5, 6]))
+        assert quiet.huge_counts()[[5, 6]].tolist() == [0, 0]
+        assert not quiet.subpage_rows(np.array([5])).any()
+        assert np.array_equal(quiet.subpage_rows(np.array([17])), rows[[2]])
 
     def test_row_sum_mismatch_rejected(self):
         import pytest
@@ -156,7 +170,7 @@ class TestHierarchicalProfile:
         from repro.errors import WorkloadError
 
         with pytest.raises(WorkloadError):
-            HierarchicalEpochProfile(
+            EpochProfile.sampled(
                 start_time=0.0,
                 duration=30.0,
                 huge_totals=np.array([10]),
@@ -166,34 +180,26 @@ class TestHierarchicalProfile:
 
 
 class TestHierarchicalGeneration:
-    def test_distribution_matches_subpage_path(self):
-        """Hierarchical totals agree with the subpage path's law.
+    def test_totals_match_rate_model(self):
+        """Mean huge-page totals converge on rate x duration.
 
-        Both paths draw Poisson traffic around the same expected huge-page
-        rates; over many epochs their mean totals must converge (fixed
-        seeds — this is a deterministic regression test, not a flaky
-        statistical one).
+        Duty cycling and bursts are mean-one multipliers, so over many
+        epochs each 2MB page's mean total is its summed subpage rate times
+        the epoch (fixed seeds — a deterministic regression test, not a
+        flaky statistical one).
         """
         from repro.workloads.base import RateModelWorkload
 
         gen = np.random.default_rng(7)
         rates = gen.exponential(2.0, size=8 * SUBPAGES_PER_HUGE_PAGE)
+        workload = RateModelWorkload("dist", rates, burstiness=0.3)
+        rng = make_rng(11)
         epochs = 200
-        sums = {}
-        for mode in ("subpage", "hierarchical"):
-            workload = RateModelWorkload("dist", rates.copy(), burstiness=0.3)
-            rng = make_rng(11)
-            total = np.zeros(8)
-            for _ in range(epochs):
-                if mode == "subpage":
-                    profile = workload.epoch_profile(0.0, 30.0, rng)
-                else:
-                    profile = workload.epoch_profile_hierarchical(0.0, 30.0, rng)
-                total += profile.huge_counts()
-            sums[mode] = total / epochs
-        np.testing.assert_allclose(
-            sums["hierarchical"], sums["subpage"], rtol=0.05
-        )
+        total = np.zeros(8)
+        for _ in range(epochs):
+            total += workload.epoch_profile(0.0, 30.0, rng, resolve=()).huge_counts()
+        expected = rates.reshape(8, SUBPAGES_PER_HUGE_PAGE).sum(axis=1) * 30.0
+        np.testing.assert_allclose(total / epochs, expected, rtol=0.05)
 
     def test_resolved_rows_sum_to_totals(self):
         from repro.workloads.base import RateModelWorkload
@@ -201,8 +207,8 @@ class TestHierarchicalGeneration:
         gen = np.random.default_rng(3)
         rates = gen.exponential(5.0, size=6 * SUBPAGES_PER_HUGE_PAGE)
         workload = RateModelWorkload("res", rates)
-        profile = workload.epoch_profile_hierarchical(
-            0.0, 30.0, make_rng(1), resolve_ids=np.array([1, 4])
+        profile = workload.epoch_profile(
+            0.0, 30.0, make_rng(1), resolve=np.array([1, 4])
         )
         rows = profile.subpage_rows(np.array([1, 4]))
         assert np.array_equal(rows.sum(axis=1), profile.huge_counts()[[1, 4]])

@@ -91,12 +91,7 @@ class TestProfileFilter:
 
     def test_scaling_filter_changes_observed_pressure(self):
         def amplify(profile, epoch_index):
-            return EpochProfile(
-                start_time=profile.start_time,
-                duration=profile.duration,
-                counts=profile.counts * 4,
-                write_fraction=profile.write_fraction,
-            )
+            return profile.scaled(4)
 
         quiet = EpochSimulation(
             make_workload(),
@@ -114,11 +109,11 @@ class TestProfileFilter:
 
     def test_filter_changing_page_count_is_rejected(self):
         def truncate(profile, epoch_index):
-            half = len(profile.counts) // 2
+            half = profile.num_huge_pages // 2
             return EpochProfile(
                 start_time=profile.start_time,
                 duration=profile.duration,
-                counts=profile.counts[:half],
+                counts=np.zeros(half * SUBPAGES_PER_HUGE_PAGE, dtype=np.int64),
                 write_fraction=profile.write_fraction,
             )
 
@@ -153,7 +148,7 @@ class TestIngestedProfiles:
         plain.step()
         plain_profile_counts = []
         plain.profile_filter = lambda p, i: (
-            plain_profile_counts.append(p.counts.copy()) or p
+            plain_profile_counts.append(p.huge_counts().copy()) or p
         )
         plain.step()
 
@@ -163,7 +158,7 @@ class TestIngestedProfiles:
         mixed.step(profile=make_profile(mixed, mixed.state.num_huge_pages))
         mixed_profile_counts = []
         mixed.profile_filter = lambda p, i: (
-            mixed_profile_counts.append(p.counts.copy()) or p
+            mixed_profile_counts.append(p.huge_counts().copy()) or p
         )
         mixed.step()
 
