@@ -20,28 +20,28 @@ latencies — never wall time), so same seed + same flags → byte-identical
 output; wall-clock decisions/sec lives in ``repro.bench`` instead.
 
 When the runner enables observability (``--trace``/``--metrics`` with
-``--obs-dir``), each posture runs with a live
-:class:`~repro.obs.live.ServiceTelemetry` plane: every decision's span
-tree and the flight-recorder spill land in the obs directory as
-schema-valid artifacts (``trace_service_<posture>.jsonl`` + Chrome twin,
+``--obs-dir``), each posture runs under a live
+:class:`~repro.obs.Observer` carrying a
+:class:`~repro.obs.live.FlightRecorder`: every decision's span tree and
+the flight-recorder spill land in the obs directory as schema-valid
+artifacts (``trace_service_<posture>.jsonl`` + Chrome twin,
 ``metrics_service_<posture>.json``, ``flight_<posture>_*.json``), so
 ``python -m repro.obs.validate`` checks the service end to end.  Spans
 are observational: the report and digests are byte-identical with
-telemetry on or off.
+observability on or off.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.errors import ConfigError, SimulationError
 from repro.experiments import common
 from repro.experiments.common import DEFAULT_SEED
 from repro.faults.service import ServiceFaultConfig
-from repro.ioutil import atomic_write_json
 from repro.metrics.report import format_table
-from repro.obs.live import ServiceTelemetry
+from repro.obs import Observer, write_run_artifacts
+from repro.obs.live import FlightRecorder
 from repro.service.core import PlacementService, ServiceConfig
 from repro.service.traffic import TrafficConfig, drive
 
@@ -74,45 +74,37 @@ def configure(decisions: int | None = None) -> None:
     _settings["decisions"] = decisions
 
 
-def _posture_telemetry(name: str) -> ServiceTelemetry | None:
-    """A live telemetry plane when the runner enabled observability."""
+def _posture_observer(name: str) -> Observer | None:
+    """A live observer with a flight recorder when the runner enabled observability."""
     obs_config = common.observability_config()
     if obs_config is None or not (obs_config.trace or obs_config.metrics):
         return None
-    return ServiceTelemetry(
+    return Observer(
         trace=obs_config.trace,
-        dump_dir=obs_config.out_dir,
-        label=name,
+        metrics=True,
         process=f"repro-service-{name}",
+        recorder=FlightRecorder(dump_dir=obs_config.out_dir, label=name),
     )
 
 
 def _write_posture_artifacts(
-    telemetry: ServiceTelemetry, service: PlacementService, name: str
+    observer: Observer, service: PlacementService, name: str
 ) -> None:
     """Land one posture's schema-valid obs artifacts in the obs dir."""
     obs_config = common.observability_config()
-    if obs_config is None:
+    if obs_config is None or observer.recorder is None:
         return
-    out_dir = Path(obs_config.out_dir)
-    tracer = telemetry.observer.tracer
-    if tracer is not None:
-        tracer.write_jsonl(out_dir / f"trace_service_{name}.jsonl")
-        tracer.write_chrome(out_dir / f"trace_service_{name}.chrome.json")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_json(
-        out_dir / f"metrics_service_{name}.json",
-        service.metrics_registry().snapshot(),
-        indent=2,
-    )
-    telemetry.recorder.spill()
+    # Refresh the service counters in the observer's registry first.
+    service.metrics_registry()
+    write_run_artifacts(obs_config, f"service_{name}", observer)
+    observer.recorder.spill()
 
 
 def _run_posture(
     name: str, seed: int, decisions: int, faults: ServiceFaultConfig
 ) -> dict:
-    telemetry = _posture_telemetry(name)
-    service = PlacementService(config=ServiceConfig(seed=seed), telemetry=telemetry)
+    observer = _posture_observer(name)
+    service = PlacementService(config=ServiceConfig(seed=seed), observer=observer)
     responses: list = []
     report = drive(
         service,
@@ -125,8 +117,8 @@ def _run_posture(
         emit=responses.append,
     )
     service.close()
-    if telemetry is not None:
-        _write_posture_artifacts(telemetry, service, name)
+    if observer is not None:
+        _write_posture_artifacts(observer, service, name)
     return {
         "posture": name,
         "summary": report.summary(),

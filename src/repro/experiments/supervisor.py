@@ -67,7 +67,7 @@ from repro.experiments.parallel import (
 )
 from repro.obs import NULL_OBSERVER
 from repro.obs.live import FlightRecorder
-from repro.rng import child_rng, make_rng
+from repro.rng import child_rng, make_rng, retry_delay
 from repro.sim.engine import SimulationResult
 
 #: Version stamp of the quarantine.json layout.
@@ -287,46 +287,13 @@ def run_supervised(
     def _elapsed() -> float:
         return time.monotonic() - batch_start
 
-    # Observed + quarantine-enabled batches keep a flight recorder next to
-    # quarantine.json: the ring mirrors every supervisor annotation, and a
-    # task's final failure dumps the recent window for post-mortems.
-    recorder: FlightRecorder | None = None
-    if obs.active and config.quarantine_path is not None:
-        recorder = FlightRecorder(
-            dump_dir=Path(config.quarantine_path).parent, label="supervisor"
-        )
     flight_dumps: dict[str, str] = {}
-
-    def _note(name: str, time_: float, duration: float = 0.0, **args) -> None:
-        if recorder is not None:
-            recorder.record("supervisor", name, time_, duration=duration, **args)
 
     tasks: dict[str, _Task] = {}
     for index, spec in enumerate(specs):
         key = spec.cache_key()
         task = tasks.setdefault(key, _Task(spec=spec, key=key))
         task.indices.append(index)
-
-    resumed = 0
-    for task in tasks.values():
-        if store.fetch(task.key) is not None:
-            task.done = True
-            resumed += 1
-            if obs.active:
-                obs.emit(
-                    "supervisor",
-                    "resumed",
-                    _elapsed(),
-                    workload=task.spec.workload,
-                    key=task.key[:12],
-                )
-                _note(
-                    "resumed",
-                    _elapsed(),
-                    workload=task.spec.workload,
-                    key=task.key[:12],
-                )
-                obs.inc("repro_supervisor_resumed_total")
 
     jitter_root = make_rng(config.seed)
 
@@ -345,27 +312,16 @@ def run_supervised(
                     attempts=task.attempts,
                     error_type=type(exc).__name__,
                 )
-                _note(
-                    "quarantined",
-                    _elapsed(),
-                    workload=task.spec.workload,
-                    key=task.key[:12],
-                    attempts=task.attempts,
-                    error_type=type(exc).__name__,
-                )
                 obs.inc("repro_supervisor_quarantined_total")
-            if recorder is not None:
-                path = recorder.dump(
-                    f"quarantine-{task.key[:12]}", now=_elapsed()
-                )
+                path = obs.dump(f"quarantine-{task.key[:12]}", now=_elapsed())
                 if path is not None:
                     flight_dumps[task.key] = str(path)
             return
-        delay = config.backoff_seconds * 2.0 ** (task.attempts - 1)
         jitter = child_rng(
             jitter_root, f"backoff:{task.key}:{task.attempts}"
         ).uniform(0.0, config.backoff_jitter)
-        task.eligible = time.monotonic() + delay * (1.0 + jitter)
+        delay = retry_delay(config.backoff_seconds, task.attempts, jitter)
+        task.eligible = time.monotonic() + delay
         if obs.active:
             obs.emit(
                 "supervisor",
@@ -374,16 +330,7 @@ def run_supervised(
                 workload=task.spec.workload,
                 key=task.key[:12],
                 attempt=task.attempts,
-                delay_seconds=delay * (1.0 + jitter),
-                error_type=type(exc).__name__,
-            )
-            _note(
-                "retry_scheduled",
-                _elapsed(),
-                workload=task.spec.workload,
-                key=task.key[:12],
-                attempt=task.attempts,
-                delay_seconds=delay * (1.0 + jitter),
+                delay_seconds=delay,
                 error_type=type(exc).__name__,
             )
             obs.inc("repro_supervisor_retries_total")
@@ -427,18 +374,33 @@ def run_supervised(
             attempt=task.attempts + 1,
             outcome=outcome,
         )
-        _note(
-            "attempt",
-            start,
-            duration=max(0.0, _elapsed() - start),
-            workload=task.spec.workload,
-            key=task.key[:12],
-            attempt=task.attempts + 1,
-            outcome=outcome,
-        )
         obs.inc("repro_supervisor_attempts_total")
 
+    # Observed + quarantine-enabled batches attach a flight recorder, next
+    # to quarantine.json, to the observer for the length of the batch: its
+    # ring is the tail of the batch's supervisor trace, and a task's final
+    # failure dumps that window for post-mortems.
+    detached_recorder = obs.recorder
+    if obs.active and config.quarantine_path is not None:
+        obs.recorder = FlightRecorder(
+            dump_dir=Path(config.quarantine_path).parent, label="supervisor"
+        )
+    resumed = 0
     try:
+        for task in tasks.values():
+            if store.fetch(task.key) is not None:
+                task.done = True
+                resumed += 1
+                if obs.active:
+                    obs.emit(
+                        "supervisor",
+                        "resumed",
+                        _elapsed(),
+                        workload=task.spec.workload,
+                        key=task.key[:12],
+                    )
+                    obs.inc("repro_supervisor_resumed_total")
+
         while any(not task.finished for task in tasks.values()):
             now = time.monotonic()
             runnable = [
@@ -542,6 +504,8 @@ def run_supervised(
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
+        if obs.active:
+            obs.recorder = detached_recorder
 
     quarantined = [
         QuarantineEntry(

@@ -27,7 +27,7 @@ from repro.faults.models import (
     CorruptEventFaultModel,
     SlowConsumerFaultModel,
 )
-from repro.obs.live import NULL_TELEMETRY
+from repro.obs import NULL_OBSERVER
 from repro.rng import child_rng
 
 
@@ -91,17 +91,13 @@ class ServiceFaultInjector:
         self.slow_consumer = slow_consumer
         self.corrupt_event = corrupt_event
         self.clock_stall = clock_stall
-        #: Live telemetry plane; when active, every fault that actually
-        #: fires becomes a ``fault`` event (span timeline + flight ring).
-        #: Strictly observational — binding telemetry draws nothing.
-        self.telemetry = NULL_TELEMETRY
+        #: Observability sink (``traffic.drive`` installs the service's); when
+        #: active, every fault that actually fires becomes a ``fault``
+        #: event.  Strictly observational — emitting draws nothing.
+        self.observer = NULL_OBSERVER
         for model in (slow_consumer, corrupt_event, clock_stall):
             if model is not None:
                 model.bind(child_rng(rng, f"service-faults:{model.name}"))
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Attach a telemetry plane (fault firings become trace events)."""
-        self.telemetry = telemetry
 
     @classmethod
     def from_config(
@@ -146,8 +142,8 @@ class ServiceFaultInjector:
         if self.slow_consumer is None:
             return 0.0
         stall = self.slow_consumer.stall_this_tick()
-        if stall and self.telemetry.active:
-            self.telemetry.record(
+        if stall and self.observer.active:
+            self.observer.emit(
                 "fault", self.slow_consumer.name, now, duration=stall
             )
         return stall
@@ -156,8 +152,8 @@ class ServiceFaultInjector:
         """(possibly mangled payload, whether corruption struck)."""
         if self.corrupt_event is None or not self.corrupt_event.should_corrupt():
             return payload, False
-        if self.telemetry.active:
-            self.telemetry.record("fault", self.corrupt_event.name, now)
+        if self.observer.active:
+            self.observer.emit("fault", self.corrupt_event.name, now)
         return self.corrupt_event.corrupt_payload(payload), True
 
     def clock_stall_seconds(self, now: float = 0.0) -> float:
@@ -165,8 +161,8 @@ class ServiceFaultInjector:
         if self.clock_stall is None:
             return 0.0
         stall = self.clock_stall.stall_this_tick()
-        if stall and self.telemetry.active:
-            self.telemetry.record(
+        if stall and self.observer.active:
+            self.observer.emit(
                 "fault", self.clock_stall.name, now, duration=stall
             )
         return stall

@@ -25,6 +25,7 @@ from repro.errors import MigrationError, RetryExhaustedError
 from repro.mem.numa import FAST_NODE, SLOW_NODE, NumaTopology
 from repro.obs import NULL_OBSERVER
 from repro.obs.metrics import PAGES_BUCKETS
+from repro.rng import retry_delay
 from repro.sim.clock import VirtualClock
 from repro.sim.stats import StatsRegistry
 from repro.units import BASE_PAGE_SIZE, HUGE_PAGE_SIZE
@@ -161,7 +162,7 @@ class MigrationEngine:
                     f"migration batch failed {failures} times "
                     f"(retry budget {injector.config.max_migration_retries})"
                 )
-            backoff = injector.config.retry_backoff_seconds * 2.0 ** (failures - 1)
+            backoff = retry_delay(injector.config.retry_backoff_seconds, failures)
             self.stats.counter("fault_migration_retries").add(1)
             self.stats.counter("fault_retry_overhead_seconds").add(backoff)
 

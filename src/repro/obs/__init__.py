@@ -9,9 +9,13 @@ Three pillars (see DESIGN.md "Observability"):
 * :mod:`repro.obs.profiling` — wall-clock phase timing behind the
   runner's ``--self-profile`` table.
 
-The seam is :class:`Observer`: the engine, policy, migration engine,
-BadgerTrap, and supervisor all talk to one observer object.  The default
-is :data:`NULL_OBSERVER`, whose ``active`` flag is ``False`` — every
+The seam is :class:`Observer`, the one observability sink: the engine,
+policy, migration engine, BadgerTrap, supervisor, and placement service
+all talk to one observer object.  An observer may carry a
+:class:`~repro.obs.live.FlightRecorder`; every :meth:`Observer.emit` then
+lands in the tracer and the recorder's ring alike, so the ring is always
+the exact tail of the trace stream.  The default is
+:data:`NULL_OBSERVER`, whose ``active`` flag is ``False`` — every
 instrumentation site guards on that one attribute, so a run with
 observability off does no per-access (or even per-epoch) observability
 work beyond the guard itself.
@@ -40,12 +44,15 @@ import os
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.ioutil import atomic_write_json
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import PhaseProfiler
-from repro.obs.tracer import Tracer, truncate_pages  # noqa: F401  (re-export)
+from repro.obs.tracer import TraceEvent, Tracer, truncate_pages  # noqa: F401  (re-export)
+
+if TYPE_CHECKING:
+    from repro.obs.live import FlightRecorder
 
 #: Environment variable carrying the JSON-encoded :class:`ObsConfig`
 #: from the runner to worker processes (same idiom as REPRO_TEST_FAULT).
@@ -67,12 +74,16 @@ class NullObserver:
     tracer = None
     metrics = None
     profiler = None
+    recorder: FlightRecorder | None = None
 
     def phase(self, name: str):
         return _NULL_CONTEXT
 
     def emit(self, category: str, name: str, time: float, duration: float = 0.0, **args) -> None:
         pass
+
+    def dump(self, reason: str, now: float = 0.0) -> None:
+        return None
 
     def inc(self, name: str, amount: float = 1.0) -> None:
         pass
@@ -89,7 +100,12 @@ NULL_OBSERVER = NullObserver()
 
 
 class Observer:
-    """A live sink bundling whichever pillars the caller enabled."""
+    """A live sink bundling whichever pillars the caller enabled.
+
+    ``recorder`` is an optional :class:`~repro.obs.live.FlightRecorder`
+    (a plain attribute, so a caller may attach one for a while): each
+    emitted event is appended to its ring as well as to the tracer.
+    """
 
     active = True
 
@@ -99,10 +115,12 @@ class Observer:
         metrics: bool = False,
         profile: bool = False,
         process: str = "repro",
+        recorder: FlightRecorder | None = None,
     ) -> None:
         self.tracer = Tracer(process=process) if trace else None
         self.metrics = MetricsRegistry() if metrics else None
         self.profiler = PhaseProfiler() if profile else None
+        self.recorder = recorder
 
     # -- thin helpers so instrumentation sites stay one-liners -----------
 
@@ -113,7 +131,19 @@ class Observer:
 
     def emit(self, category: str, name: str, time: float, duration: float = 0.0, **args) -> None:
         if self.tracer is not None:
-            self.tracer.emit(category, name, time, duration, **args)
+            event = self.tracer.emit(category, name, time, duration, **args)
+        elif self.recorder is not None:
+            event = TraceEvent(category, name, float(time), float(duration), args)
+        else:
+            return
+        if self.recorder is not None:
+            self.recorder.record_event(event.to_dict())
+
+    def dump(self, reason: str, now: float = 0.0) -> Path | None:
+        """Dump the flight recorder's ring; ``None`` without a recorder."""
+        if self.recorder is None:
+            return None
+        return self.recorder.dump(reason, now)
 
     def inc(self, name: str, amount: float = 1.0) -> None:
         if self.metrics is not None:

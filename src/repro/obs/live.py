@@ -1,33 +1,30 @@
-"""``repro.obs.live`` — the live telemetry plane for long-running services.
+"""``repro.obs.live`` — live pieces for long-running processes.
 
-PR 5 made observability *batch-shaped*: artifacts appear when a run
-finishes.  The placement service (``repro.service``) is a long-running
-process, so this module adds the three live pieces DESIGN.md "Live
-telemetry" describes:
+Batch observability produces artifacts when a run finishes.  The
+placement service (``repro.service``) and the batch supervisor run for
+a long time, so this module adds the two live pieces DESIGN.md "Live
+telemetry plane" describes:
 
 * **Request-scoped tracing** — :class:`RequestTrace` builds one span
   tree per decision (``request`` → ``queue`` → ``decide`` →
   ``wal_ack``/``degraded``/``shed``) with ids derived deterministically
-  from (tenant, per-service sequence) — no wall clocks, no global RNG,
-  so traced runs stay bit-identical and replayable.  Spans serialize as
-  ordinary schema-valid events (category ``span``), so the existing
-  JSONL/Chrome twin formats and ``repro.obs.validate`` apply unchanged.
+  (:func:`deterministic_id`) from (label, tenant, per-service sequence,
+  request id) — no wall clocks, no global RNG, so traced runs stay
+  bit-identical and replayable.  Spans serialize as ordinary
+  schema-valid events (category ``span``), so the existing JSONL/Chrome
+  twin formats and ``repro.obs.validate`` apply unchanged.
 * **A flight recorder** — :class:`FlightRecorder`, a bounded in-memory
-  ring of the most recent span trees and state transitions, dumped
-  atomically (``repro.ioutil``) on quarantine, breaker-open, crash
-  signal, or an explicit ``control`` event.  A periodic *spill* rewrites
-  one well-known file every few records, so even a ``kill -9`` leaves a
-  recent window on disk without tracing having been enabled up front.
-* **:class:`ServiceTelemetry`** — the bundle the service wires through
-  its decision path, pairing an :class:`~repro.obs.Observer` (trace +
-  metrics pillars) with a recorder.  The default is
-  :data:`NULL_TELEMETRY` (``active = False``): every instrumentation
-  site guards on that one attribute, so an un-instrumented service run
-  is byte-identical to one that predates this module.
+  ring of the most recent events, dumped atomically (``repro.ioutil``)
+  on quarantine, breaker-open, crash signal, or an explicit ``control``
+  event.  A periodic *spill* rewrites one well-known file every few
+  records, so even a ``kill -9`` leaves a recent window on disk.  A
+  recorder is fed by the :class:`~repro.obs.Observer` that carries it:
+  every emitted event lands in the tracer and the ring alike, so the
+  ring is the exact tail of the trace stream.
 
 Everything here is observational: ids come from a hash of values the
-service already computed, timestamps are the service's virtual clock,
-and no method touches an RNG.
+service already computed, timestamps are the caller's clock, and no
+method touches an RNG.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from typing import Mapping
 
 from repro.errors import ObservabilityError
 from repro.ioutil import atomic_write_json
-from repro.obs import NULL_OBSERVER, Observer
 from repro.obs.tracer import validate_event
 
 #: Flight-recorder dump format version (bump on incompatible change).
@@ -116,9 +112,6 @@ class RequestTrace:
         self.events.append(event)
         return span_id
 
-    def to_events(self) -> list[dict]:
-        return list(self.events)
-
 
 class FlightRecorder:
     """A bounded ring of recent events, dumped atomically on demand.
@@ -172,17 +165,6 @@ class FlightRecorder:
         self._since_spill += 1
         if self.dump_dir is not None and self._since_spill >= self.spill_every:
             self.spill()
-
-    def record(
-        self, category: str, name: str, time: float, duration: float = 0.0, **args
-    ) -> None:
-        """Build and append one event (the convenience form)."""
-        event: dict = {"cat": category, "name": name, "time": max(0.0, float(time))}
-        if duration:
-            event["dur"] = max(0.0, float(duration))
-        if args:
-            event["args"] = args
-        self.record_event(event)
 
     @property
     def dropped(self) -> int:
@@ -265,108 +247,3 @@ def validate_flight_dump(payload: Mapping, where: str = "flight dump") -> None:
             validate_event(entry)
         except ObservabilityError as exc:
             raise ObservabilityError(f"{where}: entry {i}: {exc}") from exc
-
-
-class NullTelemetry:
-    """The do-nothing telemetry plane; the service's default.
-
-    Mirrors :data:`~repro.obs.NULL_OBSERVER`: instrumentation sites check
-    one ``active`` attribute and skip all span/recorder work, so the off
-    path is byte-identical to a build without this module.
-    """
-
-    active = False
-    observer = NULL_OBSERVER
-    metrics = None
-    recorder = None
-
-    def begin_request(self, tenant: str, request_id: str = "") -> None:
-        return None
-
-    def finish_request(self, trace) -> None:
-        pass
-
-    def record(self, category: str, name: str, time: float, duration: float = 0.0, **args) -> None:
-        pass
-
-    def dump(self, reason: str, now: float = 0.0) -> None:
-        return None
-
-    def status(self) -> dict:
-        return {"active": False}
-
-
-#: The process-wide no-op telemetry plane (stateless, safe to share).
-NULL_TELEMETRY = NullTelemetry()
-
-
-class ServiceTelemetry:
-    """The live telemetry bundle the placement service threads through.
-
-    Pairs an :class:`~repro.obs.Observer` (metrics always on; tracing
-    optional) with a :class:`FlightRecorder`.  Trace ids derive from
-    ``(label, tenant, sequence, request_id)`` — deterministic across
-    replays of the same ingress stream.
-    """
-
-    active = True
-
-    def __init__(
-        self,
-        trace: bool = True,
-        dump_dir: str | Path | None = None,
-        label: str = "service",
-        capacity: int = 256,
-        spill_every: int = 256,
-        process: str = "repro-service",
-    ) -> None:
-        self.label = label
-        self.observer = Observer(trace=trace, metrics=True, process=process)
-        self.metrics = self.observer.metrics
-        self.recorder = FlightRecorder(
-            capacity=capacity, dump_dir=dump_dir, label=label, spill_every=spill_every
-        )
-        self._request_seq = 0
-        self.traces_total = 0
-
-    def begin_request(self, tenant: str, request_id: str = "") -> RequestTrace:
-        """Open a span tree for one ingress event (deterministic ids)."""
-        seq = self._request_seq
-        self._request_seq += 1
-        trace_id = deterministic_id(self.label, tenant, seq, request_id)
-        return RequestTrace(trace_id=trace_id, tenant=tenant)
-
-    def finish_request(self, trace: RequestTrace) -> None:
-        """Emit the finished span tree to the tracer and the recorder."""
-        for event in trace.to_events():
-            self.observer.emit(
-                event["cat"],
-                event["name"],
-                event["time"],
-                event.get("dur", 0.0),
-                **event.get("args", {}),
-            )
-            self.recorder.record_event(event)
-        self.traces_total += 1
-        self.observer.inc("repro_service_spans_total", len(trace.events))
-
-    def record(
-        self, category: str, name: str, time: float, duration: float = 0.0, **args
-    ) -> None:
-        """Record one standalone event (fault, transition, control)."""
-        self.observer.emit(category, name, time, duration, **args)
-        self.recorder.record(category, name, time, duration, **args)
-
-    def dump(self, reason: str, now: float = 0.0) -> Path | None:
-        return self.recorder.dump(reason, now)
-
-    def status(self) -> dict:
-        return {
-            "active": True,
-            "label": self.label,
-            "traces_total": self.traces_total,
-            "trace_events": len(self.observer.tracer.events)
-            if self.observer.tracer is not None
-            else 0,
-            "flight_recorder": self.recorder.status(),
-        }

@@ -43,3 +43,12 @@ def child_rng(parent: np.random.Generator, label: str) -> np.random.Generator:
     seed_seq = parent.bit_generator.seed_seq
     parent_word = int(seed_seq.generate_state(1, np.uint64)[0])
     return np.random.default_rng((label_seed(label) ^ parent_word) & (2**63 - 1))
+
+
+def retry_delay(base: float, attempt: int, jitter_draw: float = 0.0) -> float:
+    """Exponential backoff after ``attempt`` failures: ``base·2^(attempt−1)·(1+jitter_draw)``.
+
+    Pure: callers draw ``jitter_draw`` from their own stream (or pass none),
+    so each retry schedule keeps the RNG consumption it always had.
+    """
+    return base * 2.0 ** (attempt - 1) * (1.0 + jitter_draw)

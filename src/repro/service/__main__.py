@@ -20,12 +20,13 @@ Examples::
     python -m repro.service verify --wal-dir wal/
     cat events.jsonl | python -m repro.service run --wal-dir wal/
 
-``--telemetry-dir DIR`` turns on the live telemetry plane: every
-decision carries a span tree (queue → decide → ack), the flight
-recorder spills its ring into ``DIR`` (plus reason-tagged dumps on
-breaker-open / quarantine / control events / SIGTERM), and on clean
-exit schema-valid ``trace_service.*`` / ``metrics_service.json``
-artifacts land in ``DIR`` (``python -m repro.obs.validate DIR``).
+``--telemetry-dir DIR`` runs the service under a live observer with a
+flight recorder: every decision carries a span tree (queue → decide →
+ack), the recorder spills its ring — the tail of the trace — into
+``DIR`` (plus reason-tagged dumps on breaker-open / quarantine / control
+events / SIGTERM), and on clean exit schema-valid ``trace_service.*`` /
+``metrics_service.json`` artifacts land in ``DIR``
+(``python -m repro.obs.validate DIR``).
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from pathlib import Path
 from repro.errors import ReproError
 from repro.faults.service import ServiceFaultConfig
 from repro.ioutil import atomic_write_json
-from repro.obs.live import ServiceTelemetry
+from repro.obs import Observer
+from repro.obs.live import FlightRecorder
 from repro.service.core import PlacementService, ServiceConfig
 from repro.service.traffic import TrafficConfig, drive
 from repro.service.wal import verify_log
@@ -104,11 +106,16 @@ def _build_service(args: argparse.Namespace) -> PlacementService:
         deadline_seconds=args.deadline_ms / 1000.0,
         queue_capacity=args.queue_capacity,
     )
-    telemetry = None
+    observer = None
     if args.telemetry_dir is not None:
-        telemetry = ServiceTelemetry(trace=True, dump_dir=args.telemetry_dir)
+        observer = Observer(
+            trace=True,
+            metrics=True,
+            process="repro-service",
+            recorder=FlightRecorder(dump_dir=args.telemetry_dir),
+        )
     return PlacementService(
-        config=config, wal_dir=args.wal_dir, resume=args.resume, telemetry=telemetry
+        config=config, wal_dir=args.wal_dir, resume=args.resume, observer=observer
     )
 
 
@@ -120,12 +127,12 @@ def _install_signal_dumps(service: PlacementService, loop) -> None:
     exit codes and kill semantics stay exactly as before.  ``kill -9``
     can't be caught; the recorder's periodic spill covers that case.
     """
-    if not service.telemetry.active:
+    if service.observer.recorder is None:
         return
 
     def _on_signal(signum: int) -> None:
         name = signal.Signals(signum).name.lower()
-        service.telemetry.dump(f"signal-{name}", loop.time())
+        service.observer.dump(f"signal-{name}", loop.time())
         loop.remove_signal_handler(signum)
         signal.signal(signum, signal.SIG_DFL)
         os.kill(os.getpid(), signum)
@@ -136,10 +143,11 @@ def _install_signal_dumps(service: PlacementService, loop) -> None:
 
 def _write_telemetry_artifacts(service: PlacementService, args) -> None:
     """On clean exit, land validated obs artifacts in the telemetry dir."""
-    if not service.telemetry.active or args.telemetry_dir is None:
+    recorder = service.observer.recorder
+    if recorder is None or args.telemetry_dir is None:
         return
     out_dir = Path(args.telemetry_dir)
-    tracer = service.telemetry.observer.tracer
+    tracer = service.observer.tracer
     if tracer is not None:
         tracer.write_jsonl(out_dir / "trace_service.jsonl")
         tracer.write_chrome(out_dir / "trace_service.chrome.json")
@@ -149,7 +157,7 @@ def _write_telemetry_artifacts(service: PlacementService, args) -> None:
         service.metrics_registry().snapshot(),
         indent=2,
     )
-    service.telemetry.recorder.spill()
+    recorder.spill()
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

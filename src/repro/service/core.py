@@ -23,6 +23,15 @@ machines driven by ``now`` floats the shell supplies:
   source) and a request that keeps crashing the engine is quarantined
   rather than retried forever.
 
+Observability goes through one :class:`~repro.obs.Observer` (default
+:data:`~repro.obs.NULL_OBSERVER`, one attribute read per guard).  With a
+live observer the service emits its events and builds each decision's
+span tree (:class:`~repro.obs.live.RequestTrace`, deterministic ids
+seeded by the flight recorder's label); an observer carrying a
+:class:`~repro.obs.live.FlightRecorder` keeps the tail of that stream in
+its ring and dumps it on breaker-open, quarantine, and ``control``
+events.  Responses are identical with and without an observer.
+
 Latency is *virtual*: stalls injected by the fault layer and retry
 backoff advance a per-request virtual clock that is checked against the
 deadline.  The asyncio shell (:mod:`repro.service.server`) maps virtual
@@ -40,13 +49,16 @@ import numpy as np
 from repro.config import SimulationConfig, ThermostatConfig
 from repro.core.thermostat import ThermostatPolicy
 from repro.errors import ConfigError, ReproError, ServiceError
+from repro.mem.numa import NumaTopology
+from repro.mem.tiers import TierSpec
 from repro.obs import NULL_OBSERVER
-from repro.obs.live import NULL_TELEMETRY
+from repro.obs.live import RequestTrace, deterministic_id
 from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
-from repro.rng import child_rng, make_rng
+from repro.rng import child_rng, make_rng, retry_delay
 from repro.service.breaker import OPEN, CircuitBreaker
 from repro.service.cache import CachedDecision, DecisionCache
 from repro.service.events import (
+    MAX_HUGE_PAGES,
     AccessEvent,
     ControlEvent,
     DecideEvent,
@@ -199,21 +211,16 @@ class PlacementService:
         wal_dir: str | None = None,
         resume: bool = False,
         observer=None,
-        telemetry=None,
     ) -> None:
         self.config = config or ServiceConfig()
-        #: The live telemetry plane (spans, /metrics, flight recorder);
-        #: default :data:`~repro.obs.live.NULL_TELEMETRY` costs one
-        #: attribute read per guard.  When telemetry is active and no
-        #: explicit observer was passed, its observer becomes the
-        #: service's, so service events and spans share one tracer.
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if observer is not None:
-            self.observer = observer
-        elif self.telemetry.active:
-            self.observer = self.telemetry.observer
-        else:
-            self.observer = NULL_OBSERVER
+        #: The observability sink: events, span trees, metrics, and (with
+        #: a recorder attached) the flight ring.
+        self.observer = observer if observer is not None else NULL_OBSERVER
+        recorder = self.observer.recorder
+        #: Seeds trace ids; the recorder's label keeps ids per posture.
+        self._trace_label = recorder.label if recorder is not None else "service"
+        #: Span trees built so far (also the per-service trace sequence).
+        self.traces_total = 0
         self.queue = BoundedIngressQueue(
             self.config.queue_capacity, self.config.backpressure_watermark
         )
@@ -260,7 +267,7 @@ class PlacementService:
         }
         #: Degraded serves broken down by reason (statusz, flight dumps).
         self.degraded_by_reason: dict[str, int] = {}
-        #: Breaker transitions already mirrored into telemetry.
+        #: Breaker transitions already emitted through the observer.
         self._seen_breaker_transitions = 0
         #: Virtual latency of every answered decision, seconds (for the
         #: p50/p99 numbers in reports; bounded soaks keep this small).
@@ -346,11 +353,7 @@ class PlacementService:
                     self.observer.emit(
                         "service", "source_quarantined", now, source=source
                     )
-                if self.telemetry.active:
-                    self.telemetry.recorder.record(
-                        "service", "source_quarantined", now, source=source
-                    )
-                    self.telemetry.dump("source-quarantine", now)
+                    self.observer.dump("source-quarantine", now)
                 return IngestResult(
                     status="quarantined-source", error=str(exc)
                 )
@@ -374,13 +377,12 @@ class PlacementService:
                     priority=item.priority,
                     kind=getattr(item.event, "kind", "?"),
                 )
-        if self.telemetry.active:
             for item in shed:
                 # Shed decisions still get a (terminal) span tree, so a
                 # trace consumer sees every decide outcome, not just the
                 # ones that reached the engine.
                 if isinstance(item.event, DecideEvent):
-                    trace = self.telemetry.begin_request(
+                    trace = self._begin_trace(
                         item.event.tenant, item.event.request_id
                     )
                     root = trace.span(
@@ -392,15 +394,7 @@ class PlacementService:
                     trace.span(
                         "shed", start=now, parent=root, priority=item.priority
                     )
-                    self.telemetry.finish_request(trace)
-                else:
-                    self.telemetry.recorder.record(
-                        "service",
-                        "shed",
-                        now,
-                        priority=item.priority,
-                        kind=getattr(item.event, "kind", "?"),
-                    )
+                    self._emit_trace(trace)
         if shed and shed[0].event is event:
             return IngestResult(status="shed", event=event)
         return IngestResult(status="queued", event=event)
@@ -515,9 +509,9 @@ class PlacementService:
         means the request bypassed the queue (direct calls, tests).
         """
         self.counters["decisions_total"] += 1
-        # Engine-attempt spans, collected only when telemetry is active
-        # (None doubles as the "no tracing" flag for _finish).
-        attempts: list[dict] | None = [] if self.telemetry.active else None
+        # Engine-attempt spans, collected only when observed (None
+        # doubles as the "no tracing" flag for _finish).
+        attempts: list[dict] | None = [] if self.observer.active else None
         # Idempotent replay: an already-acked request gets its recorded
         # ack back without touching the engine or the log.
         recorded = self.acked.get(event.request_id)
@@ -589,23 +583,15 @@ class PlacementService:
                                 request_id=event.request_id,
                                 tenant=event.tenant,
                             )
-                        if self.telemetry.active:
-                            self.telemetry.recorder.record(
-                                "service",
-                                "request_quarantined",
-                                virtual_now,
-                                request_id=event.request_id,
-                                tenant=event.tenant,
-                            )
-                            self.telemetry.dump("quarantine", virtual_now)
+                            self.observer.dump("quarantine", virtual_now)
                     failure = "engine-error"
                     break
                 self.counters["retries"] += 1
-                delay = self.config.backoff_seconds * (2 ** (attempt - 1))
-                delay *= 1.0 + float(
-                    self._retry_rng.random()
-                ) * self.config.backoff_jitter
-                virtual_now += delay
+                virtual_now += retry_delay(
+                    self.config.backoff_seconds,
+                    attempt,
+                    float(self._retry_rng.random()) * self.config.backoff_jitter,
+                )
                 if attempts is not None:
                     # The attempt span covers its backoff: virtual time
                     # the failure cost this request.
@@ -641,13 +627,11 @@ class PlacementService:
         self.counters["control_total"] += 1
         if self.observer.active:
             self.observer.emit("control", event.action, now, tag=event.tag)
-        if self.telemetry.active:
-            self.telemetry.recorder.record("control", event.action, now, tag=event.tag)
         if event.action == "checkpoint":
             self.checkpoint()
         elif event.action == "flight-dump":
             reason = f"control-{event.tag}" if event.tag else "control"
-            self.telemetry.dump(reason, now)
+            self.observer.dump(reason, now)
 
     def _engine_step(self, tenant_name: str) -> tuple[dict, int]:
         """One reentrant engine epoch over the tenant's pending profile."""
@@ -664,6 +648,10 @@ class PlacementService:
                     scan_interval=self.config.epoch_seconds,
                 )
             )
+            # The tenant may grow after this first decide and the engine
+            # never resizes its tiers, so size both for the largest
+            # footprint an admitted event can declare.
+            capacity = MAX_HUGE_PAGES * HUGE_PAGE_SIZE
             engine = EpochSimulation(
                 IngestedWorkload(tenant_name, state.num_huge_pages),
                 policy,
@@ -672,6 +660,9 @@ class PlacementService:
                     epoch=self.config.epoch_seconds,
                     seed=self.config.seed,
                     stochastic=False,
+                ),
+                topology=NumaTopology(
+                    fast=TierSpec.dram(capacity), slow=TierSpec.slow(capacity)
                 ),
             )
             engine.start()
@@ -783,9 +774,29 @@ class PlacementService:
                 seq=response.seq,
                 latency_seconds=response.latency_seconds,
             )
-        if self.telemetry.active:
             self._record_spans(response, now, queued_at, attempts)
             self._watch_breaker(now)
+
+    def _begin_trace(self, tenant: str, request_id: str) -> RequestTrace:
+        """Open one request's span tree; its id depends only on ingress order."""
+        trace_id = deterministic_id(
+            self._trace_label, tenant, self.traces_total, request_id
+        )
+        self.traces_total += 1
+        return RequestTrace(trace_id=trace_id, tenant=tenant)
+
+    def _emit_trace(self, trace: RequestTrace) -> None:
+        """Emit a finished span tree through the observer."""
+        obs = self.observer
+        for event in trace.events:
+            obs.emit(
+                event["cat"],
+                event["name"],
+                event["time"],
+                event.get("dur", 0.0),
+                **event["args"],
+            )
+        obs.inc("repro_service_spans_total", len(trace.events))
 
     def _record_spans(
         self,
@@ -795,7 +806,7 @@ class PlacementService:
         attempts: list[dict] | None,
     ) -> None:
         """Emit one decision's span tree: request → queue → decide → ack."""
-        trace = self.telemetry.begin_request(response.tenant, response.request_id)
+        trace = self._begin_trace(response.tenant, response.request_id)
         start = queued_at if queued_at is not None else now
         end = now + response.latency_seconds
         root = trace.span(
@@ -837,13 +848,13 @@ class PlacementService:
             trace.span("wal_ack", start=end, parent=root, seq=response.seq)
         else:
             trace.span("idempotent_ack", start=end, parent=root, seq=response.seq)
-        self.telemetry.finish_request(trace)
+        self._emit_trace(trace)
 
     def _watch_breaker(self, now: float) -> None:
-        """Mirror new breaker transitions into the flight recorder.
+        """Emit new breaker transitions as events.
 
-        A transition *to* OPEN dumps the ring — the moments leading up to
-        a trip are exactly what a post-mortem wants.
+        A transition *to* OPEN dumps the flight ring — the moments leading
+        up to a trip are exactly what a post-mortem wants.
         """
         transitions = self.breaker.transitions
         if len(transitions) <= self._seen_breaker_transitions:
@@ -852,7 +863,7 @@ class PlacementService:
         self._seen_breaker_transitions = len(transitions)
         opened = False
         for transition in fresh:
-            self.telemetry.record(
+            self.observer.emit(
                 "service",
                 "breaker_transition",
                 transition.time,
@@ -862,7 +873,7 @@ class PlacementService:
             )
             opened = opened or transition.to_state == OPEN
         if opened:
-            self.telemetry.dump("breaker-open", now)
+            self.observer.dump("breaker-open", now)
 
     # ------------------------------------------------------------------
     # Durability & health
@@ -922,16 +933,15 @@ class PlacementService:
     def metrics_registry(self) -> MetricsRegistry:
         """The live ``repro_service_*`` registry behind ``/metrics``.
 
-        With telemetry active this refreshes (and returns) the shared
-        telemetry registry, so span/latency histograms ride along;
-        otherwise a transient registry is built from the authoritative
-        service counters.  Either way the service counters are *set* (not
+        With an observer that keeps metrics this refreshes (and returns)
+        its registry, so span/latency histograms ride along; otherwise a
+        transient registry is built from the authoritative service
+        counters.  Either way the service counters are *set* (not
         incremented) — the service is the source of truth, the scrape
         just mirrors it, and repeated scrapes are idempotent.
         """
-        registry = (
-            self.telemetry.metrics if self.telemetry.active else MetricsRegistry()
-        )
+        shared = self.observer.metrics
+        registry = shared if shared is not None else MetricsRegistry()
         for key, value in list(self.counters.items()):
             name = f"repro_service_{key}"
             if not name.endswith("_total"):
@@ -961,7 +971,7 @@ class PlacementService:
             float(self._acks_since_checkpoint)
         )
         registry.gauge("repro_service_tenants").set(float(len(self.tenants)))
-        if not self.telemetry.active:
+        if shared is None:
             # No incrementally maintained histogram to share — rebuild the
             # latency histogram from scratch (registry is transient, so
             # repeated scrapes never double-count).
@@ -991,5 +1001,19 @@ class PlacementService:
             },
             "latency_seconds": latency_summary,
             "metrics": self.metrics_registry().snapshot(),
-            "telemetry": self.telemetry.status(),
+            "telemetry": self._telemetry_status(),
+        }
+
+    def _telemetry_status(self) -> dict:
+        obs = self.observer
+        if not obs.active:
+            return {"active": False}
+        return {
+            "active": True,
+            "label": self._trace_label,
+            "traces_total": self.traces_total,
+            "trace_events": len(obs.tracer) if obs.tracer is not None else 0,
+            "flight_recorder": (
+                obs.recorder.status() if obs.recorder is not None else None
+            ),
         }

@@ -154,7 +154,7 @@ def drive(
     injector = ServiceFaultInjector.from_config(
         config.faults, make_rng(config.seed)
     )
-    injector.bind_telemetry(service.telemetry)
+    injector.observer = service.observer
     report = TrafficReport()
     trips_before = service.breaker.trips_total
     now = 0.0

@@ -309,6 +309,32 @@ class TestQuarantine:
         with pytest.raises(QuarantinedTaskError, match=r"\[flight: "):
             batch.raise_on_quarantine()
 
+    def test_quarantine_dump_is_the_trace_tail(self, tmp_path, monkeypatch):
+        from repro.obs import Observer
+
+        monkeypatch.setenv(TEST_FAULT_ENV, "web-search:raise")
+        obs = Observer(trace=True, process="supervisor")
+        batch = run_supervised(
+            [SPEC],
+            store=ResultStore(),
+            config=SupervisorConfig(
+                max_attempts=2,
+                quarantine_path=str(tmp_path / "quarantine.json"),
+                **FAST,
+            ),
+            observer=obs,
+        )
+        (entry,) = batch.quarantined
+        dump_path = tmp_path / entry.flight_dump.rsplit("/", 1)[-1]
+        payload = json.loads(dump_path.read_text())
+        # attempt, retry_scheduled, attempt, quarantined — then the dump.
+        trace = [event.to_dict() for event in obs.tracer.events]
+        assert len(trace) == 4
+        assert payload["entries"] == trace
+        assert payload["records_total"] == len(trace)
+        # The per-batch recorder is detached when the batch ends.
+        assert obs.recorder is None
+
     def test_unobserved_quarantine_has_no_dump(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TEST_FAULT_ENV, "web-search:raise")
         quarantine = tmp_path / "quarantine.json"

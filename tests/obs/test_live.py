@@ -1,8 +1,9 @@
-"""Tests for the live telemetry plane (repro.obs.live).
+"""Tests for the live telemetry pieces (repro.obs.live).
 
 RequestTrace span trees, the bounded FlightRecorder (ring, dumps,
-spills, caps), dump validation, and the ServiceTelemetry bundle — all
-deterministic: ids derive from values, never clocks or RNG.
+spills, caps), dump validation, and the recorder riding on an
+Observer — all deterministic: ids derive from values, never clocks or
+RNG.
 """
 
 import json
@@ -10,17 +11,19 @@ import json
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs import NULL_OBSERVER, NullObserver, Observer
 from repro.obs.live import (
     FLIGHT_VERSION,
-    NULL_TELEMETRY,
     FlightRecorder,
-    NullTelemetry,
     RequestTrace,
-    ServiceTelemetry,
     deterministic_id,
     validate_flight_dump,
 )
 from repro.obs.tracer import validate_event
+
+
+def tick(recorder, time):
+    recorder.record_event({"cat": "service", "name": "tick", "time": time})
 
 
 class TestDeterministicId:
@@ -40,7 +43,7 @@ class TestRequestTrace:
         trace = RequestTrace(trace_id="abc123", tenant="t0")
         root = trace.span("request", start=1.0, duration=0.5, outcome="acked")
         trace.span("decide", start=1.2, duration=0.3, parent=root)
-        events = trace.to_events()
+        events = trace.events
         assert len(events) == 2
         for event in events:
             validate_event(event)
@@ -68,7 +71,7 @@ class TestFlightRecorder:
     def test_ring_bounds_memory_and_counts_drops(self):
         recorder = FlightRecorder(capacity=3)
         for i in range(5):
-            recorder.record("service", "tick", float(i))
+            tick(recorder, float(i))
         assert len(recorder.entries) == 3
         assert recorder.records_total == 5
         assert recorder.dropped == 2
@@ -81,7 +84,7 @@ class TestFlightRecorder:
 
     def test_dump_writes_numbered_valid_files(self, tmp_path):
         recorder = FlightRecorder(dump_dir=tmp_path, label="unit")
-        recorder.record("service", "tick", 1.0)
+        tick(recorder, 1.0)
         first = recorder.dump("breaker OPEN!", now=2.0)
         second = recorder.dump("breaker OPEN!", now=3.0)
         assert first.name == "flight_unit_0000_breaker-open.json"
@@ -97,12 +100,12 @@ class TestFlightRecorder:
 
     def test_dump_without_dir_returns_none(self):
         recorder = FlightRecorder()
-        recorder.record("service", "tick", 0.0)
+        tick(recorder, 0.0)
         assert recorder.dump("reason") is None
 
     def test_dump_cap(self, tmp_path):
         recorder = FlightRecorder(dump_dir=tmp_path, label="cap")
-        recorder.record("service", "tick", 0.0)
+        tick(recorder, 0.0)
         for _ in range(FlightRecorder.MAX_DUMPS):
             assert recorder.dump("r") is not None
         assert recorder.dump("r") is None
@@ -113,7 +116,7 @@ class TestFlightRecorder:
     def test_periodic_spill_rotates_one_file(self, tmp_path):
         recorder = FlightRecorder(dump_dir=tmp_path, label="sp", spill_every=4)
         for i in range(9):
-            recorder.record("service", "tick", float(i))
+            tick(recorder, float(i))
         spill = tmp_path / "flight_sp_spill.json"
         assert spill.exists()
         assert recorder.spills_total == 2
@@ -125,7 +128,7 @@ class TestFlightRecorder:
 
     def test_status_keys(self):
         recorder = FlightRecorder(capacity=2)
-        recorder.record("service", "tick", 0.0)
+        tick(recorder, 0.0)
         status = recorder.status()
         assert status["capacity"] == 2
         assert status["entries"] == 1
@@ -177,53 +180,56 @@ class TestValidateFlightDump:
             validate_flight_dump(payload)
 
 
-class TestNullTelemetry:
+class TestNullObserverSink:
     def test_inactive_and_inert(self):
-        null = NullTelemetry()
+        null = NullObserver()
         assert null.active is False
         assert null.recorder is None and null.metrics is None
-        assert null.begin_request("t0") is None
-        null.finish_request(None)
-        null.record("service", "tick", 0.0)
+        null.emit("service", "tick", 0.0)
         assert null.dump("reason") is None
-        assert null.status() == {"active": False}
 
     def test_shared_instance(self):
-        assert NULL_TELEMETRY.active is False
-        assert isinstance(NULL_TELEMETRY, NullTelemetry)
+        assert NULL_OBSERVER.active is False
+        assert isinstance(NULL_OBSERVER, NullObserver)
+        assert NULL_OBSERVER.recorder is None
 
 
-class TestServiceTelemetry:
-    def test_trace_ids_deterministic_across_instances(self):
-        a = ServiceTelemetry()
-        b = ServiceTelemetry()
-        ta = a.begin_request("t0", "req-1")
-        tb = b.begin_request("t0", "req-1")
-        assert ta.trace_id == tb.trace_id
-        # The per-service sequence separates repeats of one request_id.
-        assert a.begin_request("t0", "req-1").trace_id != ta.trace_id
+class TestObserverRecorder:
+    def test_emit_lands_in_tracer_and_ring_exactly_once(self):
+        recorder = FlightRecorder()
+        observer = Observer(trace=True, recorder=recorder)
+        observer.emit("service", "shed", 2.0, priority=1, kind="access")
+        assert len(observer.tracer) == 1
+        assert recorder.records_total == 1
+        (entry,) = recorder.entries
+        assert entry == observer.tracer.events[0].to_dict()
 
-    def test_finish_request_feeds_tracer_and_recorder(self):
-        telemetry = ServiceTelemetry(trace=True)
-        trace = telemetry.begin_request("t0", "req-1")
-        root = trace.span("request", 0.0, duration=1.0, outcome="acked")
-        trace.span("decide", 0.5, parent=root)
-        telemetry.finish_request(trace)
-        assert telemetry.traces_total == 1
-        assert len(telemetry.observer.tracer) == 2
-        assert len(telemetry.recorder.entries) == 2
-        counters = telemetry.metrics.counters
-        assert counters["repro_service_spans_total"].value == 2
+    def test_emit_mirrors_to_both(self):
+        recorder = FlightRecorder()
+        observer = Observer(trace=True, recorder=recorder)
+        observer.emit("fault", "clock_stall", 1.0, duration=0.5, model="cs")
+        assert len(observer.tracer) == 1
+        (entry,) = recorder.entries
+        assert entry == {
+            "cat": "fault",
+            "name": "clock_stall",
+            "time": 1.0,
+            "dur": 0.5,
+            "args": {"model": "cs"},
+        }
 
-    def test_record_mirrors_to_both(self):
-        telemetry = ServiceTelemetry(trace=True)
-        telemetry.record("fault", "clock_stall", 1.0, duration=0.5, model="cs")
-        assert len(telemetry.observer.tracer) == 1
-        assert len(telemetry.recorder.entries) == 1
+    def test_ring_without_tracer(self):
+        recorder = FlightRecorder()
+        observer = Observer(metrics=True, recorder=recorder)
+        observer.emit("control", "flight-dump", 3.0, tag="ci")
+        assert observer.tracer is None
+        assert recorder.entries[0]["args"] == {"tag": "ci"}
 
-    def test_status_shape(self):
-        telemetry = ServiceTelemetry(label="unit")
-        status = telemetry.status()
-        assert status["active"] is True
-        assert status["label"] == "unit"
-        assert "flight_recorder" in status
+    def test_dump_goes_through_the_recorder(self, tmp_path):
+        observer = Observer(
+            trace=True, recorder=FlightRecorder(dump_dir=tmp_path, label="unit")
+        )
+        observer.emit("service", "tick", 1.0)
+        path = observer.dump("breaker-open", now=1.0)
+        assert path.name == "flight_unit_0000_breaker-open.json"
+        assert Observer(trace=True).dump("breaker-open") is None

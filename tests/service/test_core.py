@@ -90,6 +90,24 @@ class TestFreshDecisions:
         assert run() == run()
 
 
+class TestTenantGrowth:
+    def test_tenant_growing_after_first_decide_stays_fresh(self):
+        service = make_service(config={"max_attempts": 3})
+        feed_profile(service, pages=1)
+        assert not decide(service, request_id="r1").degraded
+        # The engine now exists, sized at the first decide; the tenant
+        # then grows to the top of a 4 GB footprint.
+        line = json.dumps(
+            {"kind": "access", "tenant": "t0", "page": 2047, "count": 5000}
+        )
+        assert service.ingest_line(line).status == "queued"
+        response = decide(service, request_id="r2", now=1.0)
+        assert not response.degraded, response.reason
+        assert response.seq == 2
+        assert service.counters["engine_failures"] == 0
+        assert service.tenants["t0"].engine.state.num_huge_pages == 2048
+
+
 class TestDegradedServing:
     def test_engine_error_serves_last_known_good_flagged(self):
         service = make_service()

@@ -1,10 +1,12 @@
-"""Live telemetry plane wired through the service: spans, scrapes, dumps.
+"""Live telemetry wired through the service: spans, scrapes, dumps.
 
-The telemetry contract mirrors PR 5's observability rule: the
-instrumented-off service is byte-identical to PR 9's, and with a
-:class:`~repro.obs.live.ServiceTelemetry` attached every decision —
-fresh, degraded, idempotent, or shed — carries a schema-valid span tree
-on the service's virtual clock.
+The contract mirrors the batch observability rule: a service without an
+observer answers exactly as an observed one does, and with a live
+:class:`~repro.obs.Observer` attached every decision — fresh, degraded,
+idempotent, or shed — carries a schema-valid span tree on the service's
+virtual clock.  An observer carrying a
+:class:`~repro.obs.live.FlightRecorder` keeps the tail of that trace in
+its ring.
 """
 
 import asyncio
@@ -12,14 +14,27 @@ import json
 
 import pytest
 
-from repro.obs.live import NULL_TELEMETRY, ServiceTelemetry
+from repro.errors import SimulationError
+from repro.experiments.ext_service import CHAOS_FAULTS
+from repro.obs import NULL_OBSERVER, Observer
+from repro.obs.live import FlightRecorder, deterministic_id
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.tracer import validate_event
 from repro.service.core import PlacementService, ServiceConfig
-from repro.errors import SimulationError
+from repro.service.traffic import TrafficConfig, drive
 
 
-def make_service(telemetry=None, **kwargs):
+def live_observer(dump_dir=None, label="service", capacity=256):
+    """The observer ``python -m repro.service --telemetry-dir`` builds."""
+    return Observer(
+        trace=True,
+        metrics=True,
+        process="repro-service",
+        recorder=FlightRecorder(capacity=capacity, dump_dir=dump_dir, label=label),
+    )
+
+
+def make_service(observer=None, **kwargs):
     config_kwargs = {
         "seed": 7,
         "breaker_failure_threshold": 3,
@@ -29,7 +44,7 @@ def make_service(telemetry=None, **kwargs):
     }
     config_kwargs.update(kwargs.pop("config", {}))
     return PlacementService(
-        config=ServiceConfig(**config_kwargs), telemetry=telemetry, **kwargs
+        config=ServiceConfig(**config_kwargs), observer=observer, **kwargs
     )
 
 
@@ -52,10 +67,8 @@ def decide(service, tenant="t0", request_id="r1", now=0.0, enqueue_at=None, **ex
     return responses[0]
 
 
-def spans_of(telemetry, trace_id=None):
-    events = [
-        e for e in telemetry.observer.tracer.events if e.category == "span"
-    ]
+def spans_of(observer, trace_id=None):
+    events = [e for e in observer.tracer.events if e.category == "span"]
     if trace_id is not None:
         events = [e for e in events if e.args["trace_id"] == trace_id]
     return events
@@ -63,12 +76,12 @@ def spans_of(telemetry, trace_id=None):
 
 class TestDecisionSpanTrees:
     def test_fresh_decision_spans_queue_decide_ack(self):
-        telemetry = ServiceTelemetry(trace=True)
-        service = make_service(telemetry=telemetry)
+        observer = live_observer()
+        service = make_service(observer=observer)
         feed_profile(service)
         decide(service, request_id="r1", enqueue_at=1.0, now=1.5)
 
-        spans = spans_of(telemetry)
+        spans = spans_of(observer)
         by_name = {s.name: s for s in spans}
         assert set(by_name) == {
             "request", "queue", "decide", "attempt", "wal_ack",
@@ -99,37 +112,35 @@ class TestDecisionSpanTrees:
             )
 
     def test_idempotent_replay_gets_its_own_tree(self):
-        telemetry = ServiceTelemetry(trace=True)
-        service = make_service(telemetry=telemetry)
+        observer = live_observer()
+        service = make_service(observer=observer)
         feed_profile(service)
         decide(service, request_id="r1")
         decide(service, request_id="r1", now=2.0)  # replayed ack
-        names = [s.name for s in spans_of(telemetry)]
+        names = [s.name for s in spans_of(observer)]
         assert "idempotent_ack" in names
-        assert telemetry.traces_total == 2
+        assert service.traces_total == 2
 
     def test_degraded_decision_carries_reason(self):
-        telemetry = ServiceTelemetry(trace=True)
-        service = make_service(telemetry=telemetry)
+        observer = live_observer()
+        service = make_service(observer=observer)
         service.engine_fault_hook = lambda t, e: (_ for _ in ()).throw(
             SimulationError("down")
         )
         decide(service, request_id="r1")
-        by_name = {s.name: s for s in spans_of(telemetry)}
+        by_name = {s.name: s for s in spans_of(observer)}
         assert by_name["request"].args["outcome"] == "degraded"
         assert by_name["degraded"].args["reason"] == "engine-error"
         assert by_name["degraded"].args["had_cache"] is False
         # Both failed attempts appear, the retry span covering its backoff.
-        attempts = [s for s in spans_of(telemetry) if s.name == "attempt"]
+        attempts = [s for s in spans_of(observer) if s.name == "attempt"]
         assert [a.args["attempt"] for a in attempts] == [1, 2]
         assert attempts[0].args["outcome"] == "engine-error"
         assert attempts[0].duration > 0.0  # backoff is virtual time spent
 
     def test_shed_decision_gets_terminal_tree(self):
-        telemetry = ServiceTelemetry(trace=True)
-        service = make_service(
-            telemetry=telemetry, config={"queue_capacity": 2}
-        )
+        observer = live_observer()
+        service = make_service(observer=observer, config={"queue_capacity": 2})
         # Three low-priority decides into a 2-slot queue: one is shed.
         for i in range(3):
             line = json.dumps(
@@ -142,15 +153,15 @@ class TestDecisionSpanTrees:
             )
             service.ingest_line(line, now=float(i))
         shed = [
-            s for s in spans_of(telemetry)
+            s for s in spans_of(observer)
             if s.name == "request" and s.args["outcome"] == "shed"
         ]
         assert len(shed) == 1
 
     def test_off_path_is_byte_identical(self):
-        """Responses with telemetry attached match a bare service's."""
-        def run(telemetry):
-            service = make_service(telemetry=telemetry)
+        """Responses with an observer attached match a bare service's."""
+        def run(observer):
+            service = make_service(observer=observer)
             feed_profile(service)
             payloads = []
             for i in range(5):
@@ -160,14 +171,13 @@ class TestDecisionSpanTrees:
                 payloads.append(response.to_payload())
             return json.dumps(payloads, sort_keys=True)
 
-        assert run(None) == run(ServiceTelemetry(trace=True))
-        assert run(None) == run(NULL_TELEMETRY)
+        assert run(None) == run(live_observer())
+        assert run(None) == run(NULL_OBSERVER)
 
 
 class TestFlightDumps:
     def test_breaker_open_dumps_flight_recorder(self, tmp_path):
-        telemetry = ServiceTelemetry(trace=True, dump_dir=tmp_path)
-        service = make_service(telemetry=telemetry)
+        service = make_service(observer=live_observer(dump_dir=tmp_path))
         feed_profile(service)
         decide(service, request_id="warm")
         service.engine_fault_hook = lambda t, e: (_ for _ in ()).throw(
@@ -183,9 +193,9 @@ class TestFlightDumps:
         assert "breaker_transition" in names
 
     def test_request_quarantine_dumps(self, tmp_path):
-        telemetry = ServiceTelemetry(trace=True, dump_dir=tmp_path)
         service = make_service(
-            telemetry=telemetry, config={"poison_request_threshold": 1}
+            observer=live_observer(dump_dir=tmp_path),
+            config={"poison_request_threshold": 1},
         )
         service.engine_fault_hook = lambda t, e: (_ for _ in ()).throw(
             SimulationError("down")
@@ -194,8 +204,7 @@ class TestFlightDumps:
         assert list(tmp_path.glob("flight_service_*_quarantine.json"))
 
     def test_control_event_triggers_dump_and_counter(self, tmp_path):
-        telemetry = ServiceTelemetry(trace=True, dump_dir=tmp_path)
-        service = make_service(telemetry=telemetry)
+        service = make_service(observer=live_observer(dump_dir=tmp_path))
         line = json.dumps(
             {"kind": "control", "action": "flight-dump", "tag": "ci"}
         )
@@ -205,7 +214,7 @@ class TestFlightDumps:
         assert list(tmp_path.glob("flight_service_*_control-ci.json"))
 
     def test_control_checkpoint_without_wal_is_noop(self):
-        service = make_service(telemetry=ServiceTelemetry(trace=True))
+        service = make_service(observer=live_observer())
         line = json.dumps({"kind": "control", "action": "checkpoint"})
         service.ingest_line(line)
         service.drain(0.0)
@@ -228,8 +237,8 @@ class TestMetricsSurface:
         assert service.metrics_registry().snapshot() == snap
 
     def test_exposition_passes_the_strict_parser(self):
-        telemetry = ServiceTelemetry(trace=True)
-        service = make_service(telemetry=telemetry)
+        observer = live_observer()
+        service = make_service(observer=observer)
         feed_profile(service)
         decide(service, request_id="r1")
         text = service.metrics_registry().to_prometheus_text()
@@ -247,8 +256,8 @@ class TestMetricsSurface:
         assert snap["counters"]["repro_service_degraded_engine_error_total"] == 1.0
 
     def test_statusz_shape(self):
-        telemetry = ServiceTelemetry(trace=True)
-        service = make_service(telemetry=telemetry)
+        observer = live_observer()
+        service = make_service(observer=observer)
         feed_profile(service)
         decide(service, request_id="r1")
         status = service.statusz(now=1.0)
@@ -257,16 +266,17 @@ class TestMetricsSurface:
         }
         assert status["latency_seconds"]["count"] == 1
         assert status["telemetry"]["active"] is True
+        assert make_service().statusz()["telemetry"] == {"active": False}
         assert status["health"]["degraded_by_reason"] == {}
         json.dumps(status)  # the page must serialize (the /statusz route)
 
 
 class TestHttpRoutes:
-    def _serve(self, raw: bytes, telemetry=None) -> bytes:
+    def _serve(self, raw: bytes, observer=None) -> bytes:
         from repro.service.server import serve_http
 
         async def run() -> bytes:
-            service = make_service(telemetry=telemetry)
+            service = make_service(observer=observer)
             feed_profile(service)
             decide(service, request_id="r1")
             server = await serve_http(service, port=0)
@@ -296,7 +306,7 @@ class TestHttpRoutes:
     def test_statusz_route_serves_json(self):
         response = self._serve(
             b"GET /statusz HTTP/1.1\r\n\r\n",
-            telemetry=ServiceTelemetry(trace=True),
+            observer=live_observer(),
         )
         assert response.startswith(b"HTTP/1.1 200 OK")
         _, _, body = response.partition(b"\r\n\r\n")
@@ -308,3 +318,59 @@ class TestHttpRoutes:
         response = self._serve(b"GET /healthz HTTP/1.1\r\n\r\n")
         assert response.startswith(b"HTTP/1.1 200 OK")
         assert b'"counters"' in response
+
+
+class TestObserverSink:
+    def test_trace_ids_deterministic_across_instances(self):
+        def request_trace_ids(observer):
+            service = make_service(observer=observer)
+            feed_profile(service)
+            decide(service, request_id="r1")
+            decide(service, request_id="r1", now=1.0)  # idempotent replay
+            return [
+                s.args["trace_id"] for s in spans_of(observer) if s.name == "request"
+            ]
+
+        first = request_trace_ids(live_observer())
+        assert first == request_trace_ids(live_observer())
+        assert first[0] == deterministic_id("service", "t0", 0, "r1")
+        # The per-service sequence separates repeats of one request_id.
+        assert first[0] != first[1]
+        # The recorder's label seeds the ids (one id space per posture).
+        assert request_trace_ids(live_observer(label="chaos")) != first
+
+    def test_span_trees_feed_tracer_and_recorder(self):
+        observer = live_observer()
+        service = make_service(observer=observer)
+        feed_profile(service)
+        decide(service, request_id="r1")
+        spans = [e.to_dict() for e in spans_of(observer)]
+        assert len(spans) == 5
+        assert [e for e in observer.recorder.entries if e["cat"] == "span"] == spans
+        counters = observer.metrics.counters
+        assert counters["repro_service_spans_total"].value == len(spans)
+
+    def test_statusz_telemetry_shape(self):
+        service = make_service(observer=live_observer(label="unit"))
+        feed_profile(service)
+        decide(service, request_id="r1")
+        status = service.statusz()["telemetry"]
+        assert status["active"] is True
+        assert status["label"] == "unit"
+        assert status["traces_total"] == 1
+        assert status["trace_events"] == len(service.observer.tracer)
+        assert status["flight_recorder"]["records_total"] == status["trace_events"]
+
+    def test_chaos_drive_ring_is_the_trace_tail(self):
+        capacity = 64
+        observer = live_observer(capacity=capacity)
+        service = PlacementService(config=ServiceConfig(seed=3), observer=observer)
+        report = drive(
+            service,
+            TrafficConfig(seed=3, tenants=3, decisions=60, faults=CHAOS_FAULTS),
+        )
+        trace = [event.to_dict() for event in observer.tracer.events]
+        assert report.degraded and any(e["cat"] == "fault" for e in trace)
+        assert len(trace) > capacity
+        assert list(observer.recorder.entries) == trace[-capacity:]
+        assert observer.recorder.records_total == len(trace)

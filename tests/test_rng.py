@@ -1,8 +1,10 @@
 """Tests for deterministic RNG plumbing."""
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.rng import DEFAULT_SEED, child_rng, label_seed, make_rng
+from repro.rng import DEFAULT_SEED, child_rng, label_seed, make_rng, retry_delay
 
 
 class TestMakeRng:
@@ -58,3 +60,29 @@ class TestChildRng:
         parent = make_rng(3)
         child = child_rng(parent, "x")
         assert parent.random() != child.random()
+
+
+class TestRetryDelay:
+    """One backoff formula, bit-identical to the three it replaced."""
+
+    bases = st.floats(min_value=0.0, max_value=60.0, allow_nan=False)
+    attempts = st.integers(min_value=1, max_value=40)
+    jitters = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+    seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+    @given(base=bases, attempt=attempts)
+    def test_migration_expression(self, base, attempt):
+        assert retry_delay(base, attempt) == base * 2.0 ** (attempt - 1)
+
+    @given(base=bases, attempt=attempts, jitter=jitters, seed=seeds)
+    def test_supervisor_expression(self, base, attempt, jitter, seed):
+        draw = child_rng(make_rng(seed), f"backoff:k:{attempt}").uniform(0.0, jitter)
+        delay = base * 2.0 ** (attempt - 1)
+        assert retry_delay(base, attempt, draw) == delay * (1.0 + draw)
+
+    @given(base=bases, attempt=attempts, jitter=jitters, seed=seeds)
+    def test_service_expression(self, base, attempt, jitter, seed):
+        draw = float(make_rng(seed).random())
+        delay = base * (2 ** (attempt - 1))
+        delay *= 1.0 + draw * jitter
+        assert retry_delay(base, attempt, draw * jitter) == delay
