@@ -8,6 +8,7 @@ import sys
 from repro.bench.compare import PERF_ALLOWANCE, SEMANTIC_RTOL, compare_snapshots
 from repro.bench.scenarios import SCENARIOS, run_suite
 from repro.bench.snapshot import load_snapshot, write_snapshot
+from repro.errors import SimulationError
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -93,7 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SimulationError as exc:
+        print(f"FAIL: {exc}")
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

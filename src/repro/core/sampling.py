@@ -110,13 +110,33 @@ def poison_scan_batch(
     """Vectorized poison scan over a 2-D batch of sampled huge pages.
 
     ``subpage_counts`` is ``(num_sampled, 512)``: the per-subpage access
-    counts of every huge page split this interval.  The kernel draws the
-    *same RNG stream in the same order* as calling
-    :func:`choose_poison_subpages` page-by-page (one ``rng.choice`` per
-    page with accessed subpages, in batch order) — the property tests in
-    ``tests/property/test_prop_kernels.py`` pin that equivalence — but
-    gathers and reduces the observed counts in one vectorized pass
-    instead of three numpy calls per page.
+    counts of every huge page split this interval.  The kernel poisons
+    the *same subpages from the same RNG draws* as calling
+    :func:`choose_poison_subpages` page by page in batch order, and leaves
+    ``rng`` in the same state, but without a per-page loop.
+
+    RNG contract.  For ``s`` picks from ``n <= 10,000`` candidates (a row
+    has 512), ``rng.choice(candidates, s, replace=False)`` runs Floyd's
+    algorithm and then shuffles the picks.  Floyd's step ``t`` draws
+    ``v_t`` uniformly on ``[0, j_t]`` with ``j_t = n - s + t`` and picks
+    ``v_t``, or ``j_t`` if ``v_t`` was already picked; the shuffle draws
+    once on ``[0, i]`` for each ``i = s-1 ... 1``.  Every one of those
+    draws comes from the bounded-integer primitive behind
+    ``rng.integers``, so a single ``rng.integers(0, bounds + 1)`` over all
+    pages' bounds, concatenated in page order, returns the same values
+    from the same stream.  The kernel replays Floyd's picks for every
+    page at once (:func:`_floyd_collisions`) and consumes the shuffle's
+    draws without replaying them: a shuffle reorders a page's picks but
+    never changes which subpages they are.
+
+    The picks and the RNG state match the scalar loop exactly.  The sums
+    match it exactly whenever every capped count is a whole number, as
+    with integer counts and a whole-number or infinite ``fault_cap``
+    (every engine configuration: 100 faults/s times a whole-second
+    epoch).  A fractional cap can move a sum in its last bits, because
+    the two paths add a page's counts in different orders.
+    ``tests/property/test_prop_kernels.py`` pins all of this against the
+    verbatim pre-vectorization loop.
 
     ``fault_cap`` bounds the counts a single poisoned subpage can report
     (BadgerTrap's TLB-residency throttling); ``np.inf`` disables the cap.
@@ -126,56 +146,78 @@ def poison_scan_batch(
     subpage_counts = np.atleast_2d(np.asarray(subpage_counts))
     num_pages, num_subpages = subpage_counts.shape
     accessed = subpage_counts > 0
-    num_accessed = accessed.sum(axis=1)
-    poisoned_per_page = np.zeros(num_pages, dtype=np.int64)
-    observed_sums = np.zeros(num_pages, dtype=float)
-    if num_pages == 0:
-        return PoisonScanResult(num_accessed, poisoned_per_page, observed_sums)
-
+    num_accessed = accessed.sum(axis=1).astype(np.int64)
     if use_prefilter:
-        # One global nonzero pass; per-page candidate lists are slices of
-        # the flat column array (row-major order groups rows together).
-        rows, cols = np.nonzero(accessed)
-        row_ends = np.cumsum(num_accessed)
+        population = num_accessed
     else:
-        cols = None
-        row_ends = None
+        population = np.full(num_pages, num_subpages, dtype=np.int64)
+    poisoned = np.minimum(population, max_poisoned)
+    # Each page with candidates draws s Floyd steps, then s - 1 shuffle
+    # swaps; ``offset`` numbers a draw within its page's run.
+    draws = np.maximum(2 * poisoned - 1, 0)
+    total = int(draws.sum())
+    if total == 0:
+        return PoisonScanResult(num_accessed, poisoned, np.zeros(num_pages))
+    page = np.repeat(np.arange(num_pages), draws)
+    offset = np.arange(total) - np.repeat(np.cumsum(draws) - draws, draws)
+    size = poisoned[page]
+    base = (population - poisoned)[page]
+    floyd = offset < size
+    bounds = np.where(floyd, base + offset, 2 * size - 1 - offset)
+    values = rng.integers(0, bounds + 1)
 
-    chosen_rows: list[np.ndarray] = []
-    chosen_cols: list[np.ndarray] = []
-    all_subpages = np.arange(num_subpages)
-    start = 0
-    for i in range(num_pages):
-        if use_prefilter:
-            end = int(row_ends[i])  # type: ignore[index]
-            candidates = cols[start:end]  # type: ignore[index]
-            start = end
-        else:
-            candidates = all_subpages
-        if candidates.size == 0:
-            continue
-        count = min(max_poisoned, candidates.size)
-        # The per-page draw is the RNG contract shared with the scalar
-        # path; everything around it is batched.
-        chosen = rng.choice(candidates, size=count, replace=False)
-        chosen_rows.append(np.full(count, i, dtype=np.int64))
-        chosen_cols.append(chosen.astype(np.int64))
-        poisoned_per_page[i] = count
-
-    if chosen_rows:
-        flat_rows = np.concatenate(chosen_rows)
-        flat_cols = np.concatenate(chosen_cols)
-        observed = np.minimum(
-            subpage_counts[flat_rows, flat_cols].astype(float), fault_cap
-        )
-        observed_sums = np.bincount(
-            flat_rows, weights=observed, minlength=num_pages
-        )
+    page, step, drawn, base = page[floyd], offset[floyd], values[floyd], base[floyd]
+    collided = _floyd_collisions(page, step, drawn, base, num_subpages)
+    picks = np.where(collided, base + step, drawn)
+    if use_prefilter:
+        # A page's candidates are its accessed subpages: one slice of a
+        # single flat nonzero pass (row-major order keeps rows together).
+        row_start = np.cumsum(num_accessed) - num_accessed
+        flat = np.flatnonzero(accessed)[row_start[page] + picks]
+    else:
+        flat = page * num_subpages + picks
+    observed = np.minimum(subpage_counts.ravel()[flat].astype(float), fault_cap)
     return PoisonScanResult(
-        num_accessed=num_accessed.astype(np.int64),
-        poisoned_per_page=poisoned_per_page,
-        observed_sums=observed_sums,
+        num_accessed=num_accessed,
+        poisoned_per_page=poisoned,
+        observed_sums=np.bincount(page, weights=observed, minlength=num_pages),
     )
+
+
+def _floyd_collisions(
+    page: np.ndarray,
+    step: np.ndarray,
+    drawn: np.ndarray,
+    base: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """Which Floyd steps found their draw already picked.
+
+    The arrays hold every page's Floyd steps, pages in order and steps in
+    order within a page: step ``t`` of a page drew ``drawn`` on
+    ``[0, base + t]``.  Step ``t`` collides (and so picks ``base + t``)
+    when its draw repeats an earlier draw of its page, or when it equals
+    ``base + k`` for an earlier step ``k`` that itself collided.  The
+    second rule chains, so it is applied until nothing changes; each
+    round settles one more link of every chain, and chains are short.
+    """
+    index = np.arange(page.size)
+    # Unique keys sorted by (page, draw, step): within a run of equal
+    # (page, draw), every step after the first is a repeat.
+    key = (page * width + drawn) * width + step
+    order = np.argsort(key)
+    pair = key[order] // width
+    repeat = np.zeros(page.size, dtype=bool)
+    repeat[order[1:][pair[1:] == pair[:-1]]] = True
+    link = drawn - base
+    chained = (link >= 0) & (link < step)
+    target = np.where(chained, index - step + link, 0)
+    collided = repeat
+    while True:
+        widened = repeat | (chained & collided[target])
+        if np.array_equal(widened, collided):
+            return collided
+        collided = widened
 
 
 class CyclingSampler:

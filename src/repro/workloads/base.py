@@ -121,6 +121,9 @@ class Workload(abc.ABC):
         self.duty_persistence = duty_persistence
         #: Markov activity state per huge page (lazily initialized).
         self._duty_on: np.ndarray | None = None
+        #: The read-only rate vector last summed per 2MB page, and its sums.
+        self._summed_rates: np.ndarray | None = None
+        self._huge_rate_sums = np.empty(0)
 
     # ------------------------------------------------------------------
     # Size
@@ -158,6 +161,9 @@ class Workload(abc.ABC):
         """Per-4KB-page access rates (accesses/sec) at ``time``.
 
         The returned array has length ``num_huge_pages_at(time) * 512``.
+        Returning the same read-only array again promises the same rates
+        (its per-2MB sums are reused); rates that change come in a new
+        array, or in a writable one, which is summed every epoch.
         """
 
     def huge_page_duty(self, rates: np.ndarray) -> np.ndarray | None:
@@ -168,7 +174,22 @@ class Workload(abc.ABC):
         traffic compressed into the active epochs).  Returns ``None`` when
         duty cycling is disabled.
         """
-        return self._duty(rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE).sum(axis=1))
+        return self._duty(self._huge_rates(rates))
+
+    def _huge_rates(self, rates: np.ndarray) -> np.ndarray:
+        """Per-2MB-page sums of ``rates``, reused while ``rates`` is unchanged.
+
+        By the :meth:`rates_at` contract the same read-only array means
+        the same rates, so its sums are kept and handed out again.  A
+        writable array is summed on every call.
+        """
+        if rates.flags.writeable:
+            return rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE).sum(axis=1)
+        if rates is not self._summed_rates:
+            sums = rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE).sum(axis=1)
+            sums.flags.writeable = False
+            self._summed_rates, self._huge_rate_sums = rates, sums
+        return self._huge_rate_sums
 
     def _duty(self, huge_rates: np.ndarray) -> np.ndarray | None:
         if self.duty_threshold is None:
@@ -226,6 +247,10 @@ class Workload(abc.ABC):
         drawn per 2MB page, so a burst or lull moves a whole huge page —
         the grain Thermostat classifies and migrates at.
 
+        The per-2MB rate sums are reused across epochs while
+        :meth:`rates_at` returns the same read-only array (see
+        :meth:`_huge_rates`).
+
         RNG contract: ``rng`` pays the same draws whatever is resolved —
         the duty chain, one burst factor and one Poisson total per huge
         page, then one seed — and the rows come from a generator built
@@ -241,7 +266,7 @@ class Workload(abc.ABC):
             slice(None) if resolve is None else np.asarray(resolve, dtype=np.int64)
         )
         if stochastic:
-            huge_rates = weights.sum(axis=1)
+            huge_rates = self._huge_rates(rates)
             expected = huge_rates * duration
             duty = self._duty(huge_rates)
             if duty is not None:
@@ -290,6 +315,10 @@ class RateModelWorkload(Workload):
     rates up to the 2MB boundary).  Most synthetic scenarios and tests use
     this directly; the application models build their rate vectors with
     :mod:`repro.workloads.distributions` and add time variation on top.
+
+    The vector is stored read-only, so :meth:`rates_at` hands out the one
+    array and every epoch reuses its per-2MB sums.  A subclass that
+    changes rates builds a new array rather than writing into this one.
     """
 
     def __init__(
@@ -330,6 +359,7 @@ class RateModelWorkload(Workload):
         padded = pad_to_huge(rates.size)
         self._rates = np.zeros(padded, dtype=float)
         self._rates[: rates.size] = rates
+        self._rates.flags.writeable = False
 
     def rates_at(self, time: float) -> np.ndarray:
         return self._rates

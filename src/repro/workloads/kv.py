@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.rng import make_rng
-from repro.workloads.base import Workload, pad_to_huge
+from repro.workloads.base import RateModelWorkload
 
 
-class KeyValueWorkload(Workload):
+class KeyValueWorkload(RateModelWorkload):
     """A static-footprint store with skewed, optionally drifting, accesses."""
 
     def __init__(
@@ -45,21 +45,9 @@ class KeyValueWorkload(Workload):
         drift_fraction: float = 0.0,
         drift_seed: int = 0,
     ) -> None:
-        rates = np.asarray(rates, dtype=float)
-        if rates.ndim != 1 or rates.size == 0:
-            raise WorkloadError(f"{name}: rates must be a non-empty 1-D array")
-        if np.any(rates < 0):
-            raise WorkloadError(f"{name}: rates must be non-negative")
-        if drift_interval is not None and drift_interval <= 0:
-            raise WorkloadError(f"{name}: drift_interval must be positive")
-        if not 0.0 <= drift_fraction < 1.0:
-            raise WorkloadError(f"{name}: drift_fraction must be in [0, 1)")
-        resident = rates.size * 4096 - file_mapped_bytes
-        if resident <= 0:
-            raise WorkloadError(f"{name}: file_mapped_bytes exceeds footprint")
         super().__init__(
             name,
-            resident,
+            rates,
             file_mapped_bytes=file_mapped_bytes,
             baseline_ops_per_second=baseline_ops_per_second,
             write_fraction=write_fraction,
@@ -68,9 +56,10 @@ class KeyValueWorkload(Workload):
             duty_floor=duty_floor,
             duty_persistence=duty_persistence,
         )
-        padded = pad_to_huge(rates.size)
-        self._rates = np.zeros(padded)
-        self._rates[: rates.size] = rates
+        if drift_interval is not None and drift_interval <= 0:
+            raise WorkloadError(f"{name}: drift_interval must be positive")
+        if not 0.0 <= drift_fraction < 1.0:
+            raise WorkloadError(f"{name}: drift_fraction must be in [0, 1)")
         self.drift_interval = drift_interval
         self.drift_fraction = drift_fraction
         self._drift_rng = make_rng(drift_seed)
@@ -83,23 +72,33 @@ class KeyValueWorkload(Workload):
 
         Drift is applied lazily and cumulatively; the engine calls
         ``rates_at`` with monotonically increasing times, so each event
-        fires exactly once.
+        fires exactly once.  The events due are applied to a copy that
+        then replaces the read-only vector, so an array handed out
+        earlier never changes under its holder.
         """
         if self.drift_interval is None or self.drift_fraction == 0.0:
             return
         due = int(time // self.drift_interval)
+        rates = self._rates
         while self._drifts_applied < due:
             self._drifts_applied += 1
-            count = max(1, int(self.drift_fraction * self._rates.size))
-            order = np.argsort(self._rates)
-            cold_pool = order[: self._rates.size // 2]
-            hot_pool = order[self._rates.size // 2 :]
-            cold = self._drift_rng.choice(cold_pool, size=count, replace=False)
-            hot = self._drift_rng.choice(hot_pool, size=count, replace=False)
-            self._rates[cold], self._rates[hot] = (
-                self._rates[hot].copy(),
-                self._rates[cold].copy(),
-            )
+            # Pick before copying: the sort is freed by then, so a drift
+            # never holds more than two footprint-sized arrays at once.
+            cold, hot = self._drift_swap(rates)
+            if rates is self._rates:
+                rates = rates.copy()
+            rates[cold], rates[hot] = rates[hot], rates[cold]
+        if rates is not self._rates:
+            rates.flags.writeable = False
+            self._rates = rates
+
+    def _drift_swap(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One event's pages: some of the colder half, as many of the hotter."""
+        count = max(1, int(self.drift_fraction * rates.size))
+        order = np.argsort(rates)
+        cold = self._drift_rng.choice(order[: rates.size // 2], size=count, replace=False)
+        hot = self._drift_rng.choice(order[rates.size // 2 :], size=count, replace=False)
+        return cold, hot
 
     def rates_at(self, time: float) -> np.ndarray:
         self._apply_drift_events(time)

@@ -5,9 +5,15 @@ import json
 import pytest
 
 from repro.bench.compare import compare_snapshots
-from repro.bench.scenarios import SCENARIOS, calibration_seconds, run_suite
+from repro.bench.scenarios import (
+    SCENARIOS,
+    TIMING_REPEATS,
+    Scenario,
+    calibration_seconds,
+    run_suite,
+)
 from repro.bench.snapshot import SCHEMA_VERSION, load_snapshot, write_snapshot
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 
 
 def _snapshot(norm=1.0, slowdown=0.01):
@@ -130,6 +136,43 @@ class TestSuiteExecution:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError):
             run_suite(["no-such-scenario"])
+
+    def test_scenario_time_is_fastest_of_repeats(self, monkeypatch):
+        from repro.bench import scenarios
+
+        calls = []
+
+        def run():
+            calls.append(1)
+            return {"answer": 42.0}
+
+        ticks = iter([0.0, 5.0, 10.0, 12.0, 20.0, 27.0])
+        monkeypatch.setattr(scenarios, "SCENARIOS", (Scenario("fake", "x", run),))
+        monkeypatch.setattr(scenarios, "calibration_seconds", lambda: 0.5)
+        monkeypatch.setattr(scenarios.time, "perf_counter", lambda: next(ticks))
+        body = run_suite(["fake"])
+        assert len(calls) == TIMING_REPEATS == 3
+        entry = body["scenarios"]["fake"]
+        assert entry["semantic"] == {"answer": 42.0}
+        assert entry["perf"] == {"wall_seconds": 2.0, "normalized": 4.0}
+
+    def test_repeats_that_disagree_fail_the_run(self, monkeypatch, capsys):
+        from repro.bench import scenarios
+        from repro.bench.cli import main
+
+        calls = []
+
+        def drifting():
+            calls.append(1)
+            return {"stable": 1.0, "drifting": float(len(calls) % 2)}
+
+        monkeypatch.setattr(
+            scenarios, "SCENARIOS", (Scenario("flaky", "x", drifting),)
+        )
+        with pytest.raises(SimulationError, match=r"flaky.*\['drifting'\]"):
+            run_suite(["flaky"])
+        assert main(["run", "--scenario", "flaky"]) == 1
+        assert "FAIL: flaky" in capsys.readouterr().out
 
 
 class TestCli:

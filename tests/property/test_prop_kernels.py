@@ -4,9 +4,14 @@ scalar references.
 Three contracts:
 
 * :func:`poison_scan_batch` consumes the *same RNG draws in the same
-  order* as the scalar :func:`choose_poison_subpages` loop and produces
-  identical observations — so switching the policy to the batched kernel
-  changed no simulation output.
+  order* as the scalar :func:`choose_poison_subpages` loop and poisons
+  the same subpages.  Its per-page sums are identical whenever every
+  capped count is a whole number: integer counts under a whole-number
+  or infinite ``fault_cap``, as in every engine configuration.  So
+  switching the policy to the batched kernel changed no simulation
+  output.  With a fractional cap the two paths add a page's capped
+  counts in different orders, and the sums agree only to within float64
+  epsilon times the number of poisoned subpages.
 * ``select_cold_pages`` returns its halves coldest-first (the ordering
   the demotion cap and backpressure truncation rely on).
 * :class:`EpochProfile` is exact everywhere it answers (totals, resolved
@@ -14,6 +19,7 @@ Three contracts:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,28 +66,127 @@ def scan_inputs(draw):
     return counts, max_poisoned, use_prefilter, fault_cap, seed
 
 
+@st.composite
+def engine_scan_inputs(draw):
+    """The shape of every engine call: up to 64 split pages of 512
+    subpages, at most 50 poisoned each, rows from sparse to fully
+    accessed (dense rows are where Floyd's collisions chain)."""
+    num_pages = draw(st.integers(0, 64))
+    seed = draw(st.integers(0, 2**16))
+    gen = np.random.default_rng(seed)
+    density = gen.uniform(draw(st.floats(0.0, 1.0)), 1.0, size=(num_pages, 1))
+    counts = np.where(
+        gen.random((num_pages, SUBPAGES_PER_HUGE_PAGE)) < density,
+        gen.integers(1, 5000, size=(num_pages, SUBPAGES_PER_HUGE_PAGE)),
+        0,
+    )
+    fault_cap = draw(st.sampled_from([np.inf, 100.0, 3000.0]))
+    return counts, 50, draw(st.booleans()), fault_cap, seed
+
+
+def _both_paths(counts, max_poisoned, use_prefilter, fault_cap, seed):
+    """Scalar loop and batched kernel from one seed; asserts what must be
+    exact whatever the cap: counts, picks per page, and the RNG state."""
+    rng_scalar = np.random.default_rng(seed)
+    rng_batch = np.random.default_rng(seed)
+    num_accessed, sums, pages = _scalar_poison_scan(
+        counts, max_poisoned, rng_scalar, use_prefilter, fault_cap
+    )
+    result = poison_scan_batch(
+        counts,
+        max_poisoned,
+        rng_batch,
+        use_prefilter=use_prefilter,
+        fault_cap=fault_cap,
+    )
+    assert np.array_equal(result.num_accessed, num_accessed)
+    assert np.array_equal(result.poisoned_per_page, pages)
+    # Same draws consumed: the two streams must be in the same state.
+    assert rng_scalar.integers(2**31) == rng_batch.integers(2**31)
+    return result, sums, pages
+
+
+def _floyd(population, size, rng):
+    """Floyd's algorithm as ``Generator.choice`` runs it, one draw at a time.
+
+    Returns the picks and each step's collision depth: 0 for a fresh
+    draw, 1 for a draw that repeats an earlier draw, and ``d + 1`` for a
+    draw equal to ``j`` of an earlier step of depth ``d``.  Consumes the
+    shuffle's draws too, so ``rng`` ends where ``choice`` leaves it.
+    """
+    drawn: set[int] = set()
+    depth_of: dict[int, int] = {}
+    picks, depths = [], []
+    for t in range(size):
+        j = population - size + t
+        value = int(rng.integers(0, j + 1))
+        if value in drawn:
+            depth = 1
+        elif value in depth_of:
+            depth = depth_of[value] + 1
+        else:
+            depth = 0
+        pick = j if depth else value
+        depth_of[pick] = depth
+        drawn.add(value)
+        picks.append(pick)
+        depths.append(depth)
+    for i in range(size - 1, 0, -1):
+        rng.integers(0, i + 1)
+    return picks, depths
+
+
 class TestPoisonScanBatchEquivalence:
     @given(scan_inputs())
     @settings(max_examples=150, deadline=None)
     def test_matches_scalar_loop_and_rng_stream(self, inputs):
-        counts, max_poisoned, use_prefilter, fault_cap, seed = inputs
-        rng_scalar = np.random.default_rng(seed)
-        rng_batch = np.random.default_rng(seed)
-        num_accessed, sums, pages = _scalar_poison_scan(
-            counts, max_poisoned, rng_scalar, use_prefilter, fault_cap
-        )
-        result = poison_scan_batch(
-            counts,
-            max_poisoned,
-            rng_batch,
-            use_prefilter=use_prefilter,
-            fault_cap=fault_cap,
-        )
-        assert np.array_equal(result.num_accessed, num_accessed)
+        result, sums, _ = _both_paths(*inputs)
         assert np.array_equal(result.observed_sums, sums)
-        assert np.array_equal(result.poisoned_per_page, pages)
-        # Same draws consumed: the two streams must be in the same state.
-        assert rng_scalar.integers(2**31) == rng_batch.integers(2**31)
+
+    @given(engine_scan_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_loop_on_engine_shaped_batches(self, inputs):
+        result, sums, _ = _both_paths(*inputs)
+        assert np.array_equal(result.observed_sums, sums)
+
+    @given(scan_inputs(), st.sampled_from([2.7, 0.7000000000000001, 123.456]))
+    @settings(max_examples=100, deadline=None)
+    def test_fractional_cap_agrees_to_rounding(self, inputs, fault_cap):
+        counts, max_poisoned, use_prefilter, _, seed = inputs
+        result, sums, pages = _both_paths(
+            counts, max_poisoned, use_prefilter, fault_cap, seed
+        )
+        # Two summation orders over n non-negative terms differ by at
+        # most n float64 epsilons of the sum.
+        tolerance = np.finfo(float).eps * pages * sums
+        assert np.all(np.abs(result.observed_sums - sums) <= tolerance)
+
+    def test_chained_collisions_replayed_to_the_fixed_point(self):
+        """Page 0 (60 accessed subpages, 50 poisoned) collides in a chain
+        three deep, so a kernel that applied the chain rule once would
+        pick the wrong subpage."""
+        gen = np.random.default_rng(1)
+        counts = np.zeros((3, SUBPAGES_PER_HUGE_PAGE), dtype=np.int64)
+        counts[0, gen.choice(SUBPAGES_PER_HUGE_PAGE, 60, replace=False)] = (
+            gen.integers(1, 5000, 60)
+        )
+        counts[2] = gen.integers(1, 5000, SUBPAGES_PER_HUGE_PAGE)
+        _, depths = _floyd(60, 50, np.random.default_rng(0))
+        assert max(depths) >= 3
+        result, sums, _ = _both_paths(counts, 50, True, 3000.0, seed=0)
+        assert np.array_equal(result.observed_sums, sums)
+
+    @pytest.mark.parametrize("population,size", [(1, 1), (60, 50), (512, 50), (9, 9)])
+    def test_floyd_reference_is_numpys_choice(self, population, size):
+        """The kernel's premise: ``choice(replace=False)`` is Floyd plus a
+        shuffle over the same bounded draws.  Fails if NumPy changes it."""
+        for seed in range(20):
+            rng_floyd = np.random.default_rng(seed)
+            rng_choice = np.random.default_rng(seed)
+            picks, _ = _floyd(population, size, rng_floyd)
+            chosen = rng_choice.choice(population, size, replace=False)
+            assert sorted(picks) == sorted(chosen.tolist())
+            assert rng_floyd.integers(2**31) == rng_choice.integers(2**31)
 
 
 class TestColdPagesOrdering:

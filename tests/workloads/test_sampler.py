@@ -10,7 +10,9 @@ with the faithful one (resolve every page):
   stream;
 * resolved rows sum to their totals and follow the page's rate weights;
 * deterministic (``stochastic=False``) profiles are the rounded per-4KB
-  expectations, dense or sparse.
+  expectations, dense or sparse;
+* reusing a read-only rate vector's 2MB sums across epochs draws exactly
+  what summing every epoch draws, drift events included.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from repro.units import SUBPAGES_PER_HUGE_PAGE
 from repro.workloads import WORKLOAD_NAMES, make_workload
 from repro.workloads.base import RateModelWorkload
 from repro.workloads.composite import CompositeWorkload
+from repro.workloads.kv import KeyValueWorkload
 
 EPOCHS = 6
 
@@ -130,3 +133,56 @@ def test_paired_policies_see_the_same_access_stream():
     assert len(first) == len(second) == 10
     for a, b in zip(first, second, strict=True):
         assert np.array_equal(a, b)
+
+
+class _WritableRates(KeyValueWorkload):
+    """Hands out a writable copy each epoch, which turns sum reuse off."""
+
+    def rates_at(self, time):
+        return super().rates_at(time).copy()
+
+
+def test_reused_rate_sums_match_summing_every_epoch():
+    """A drifting store draws the same epochs with and without reuse.
+
+    Aerospike drifts every 300 s; 44 epochs of 30 s cross four drift
+    events, each of which replaces the read-only vector with a new one.
+    """
+    reused = make_workload("aerospike", scale=0.01)
+    summed = make_workload("aerospike", scale=0.01)
+    summed.__class__ = _WritableRates
+    num_huge = reused.total_huge_pages
+    rng_reused, rng_summed = make_rng(5), make_rng(5)
+    vectors = []
+    for i in range(44):
+        start = 30.0 * i
+        resolve = np.arange(i % 7, num_huge, 7)
+        a = reused.epoch_profile(start, 30.0, rng_reused, resolve=resolve)
+        b = summed.epoch_profile(start, 30.0, rng_summed, resolve=resolve)
+        assert np.array_equal(a.huge_counts(), b.huge_counts())
+        assert np.array_equal(a.subpage_rows(resolve), b.subpage_rows(resolve))
+        rates = reused.rates_at(start)
+        if not vectors or vectors[-1] is not rates:
+            vectors.append(rates)
+    # The initial vector plus one per drift event at 300, 600, 900, 1200 s.
+    assert len(vectors) == 5
+    assert not np.array_equal(vectors[0], vectors[-1])
+    assert int(rng_reused.integers(2**62)) == int(rng_summed.integers(2**62))
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [
+        RateModelWorkload("static", np.ones(SUBPAGES_PER_HUGE_PAGE)),
+        KeyValueWorkload(
+            "kv", np.ones(4 * SUBPAGES_PER_HUGE_PAGE), drift_interval=10.0,
+            drift_fraction=0.01,
+        ),
+    ],
+    ids=["rate-model", "key-value"],
+)
+def test_static_rate_vectors_are_read_only(workload):
+    """Rates that cannot change in place are what makes reuse sound."""
+    for time in (0.0, 25.0):
+        with pytest.raises(ValueError, match="read-only"):
+            workload.rates_at(time)[0] = 5.0
