@@ -197,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--self-profile",
         action="store_true",
-        help="time each engine phase (scan/sample/classify/migrate/...) and "
+        help="time each engine phase (profile/charge/sample/classify/...) and "
         "print a wall-clock self-profile table",
     )
     parser.add_argument(

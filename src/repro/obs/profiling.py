@@ -1,8 +1,9 @@
 """Phase profiling: where does simulation wall-clock actually go?
 
 The observability layer's third pillar.  The engine and policy wrap each
-stage of an epoch — ``scan`` (workload profile + stall accounting),
-``sample`` (splitting/poisoning), ``classify``, ``migrate``, ``correct``,
+stage of an epoch — ``profile`` (footprint growth + workload profile),
+``charge`` (slow-memory stall accounting), ``sample``
+(splitting/poisoning), ``classify``, ``migrate``, ``correct``,
 ``bookkeeping``, plus ``faults``/``audit`` when enabled — in
 :meth:`PhaseProfiler.phase` spans.  The profiler accumulates wall-clock
 totals and call counts per phase; :func:`render_profile_table` rolls

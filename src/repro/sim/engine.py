@@ -303,7 +303,7 @@ class EpochSimulation:
         wear = self._wear
         slow_latency = self.topology.latency(SLOW_NODE)
         start = self.clock.now
-        with obs.phase("scan"):
+        with obs.phase("profile"):
             if profile is not None:
                 needed = profile.num_huge_pages
             else:
@@ -347,9 +347,9 @@ class EpochSimulation:
                         f"{self.state.num_huge_pages})"
                     )
 
-            # 2. Charge this epoch's slow-memory stalls against the
-            # current placement (ground truth — observation faults
-            # never change it).
+        # 2. Charge this epoch's slow-memory stalls against the current
+        # placement (ground truth — observation faults never change it).
+        with obs.phase("charge"):
             huge_counts = profile.huge_counts()
             slow_mask = self.state.slow_mask()
             slow_accesses = float(huge_counts[slow_mask].sum())

@@ -29,6 +29,23 @@ def pad_to_huge(num_base_pages: int) -> int:
     return num_base_pages
 
 
+#: Largest total an evenly weighted row draws as uniform subpage picks: a
+#: mean of 8 accesses per subpage.  T picks cost O(T) while the multinomial
+#: makes 511 binomial draws, which numpy switches from inversion to BTPE at
+#: a mean of 30 per subpage; the two cross between 8 and 16 per subpage
+#: (DESIGN.md, "One epoch-profile sampler"), so 8 keeps a margin.
+UNIFORM_PICK_MAX_TOTAL = 8 * SUBPAGES_PER_HUGE_PAGE
+
+
+def _uniform_pick_rows(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Row r holds ``counts[r]`` uniform picks among 512 subpages, counted."""
+    # Pick i of row r lands in cell r * 512 + subpage.
+    cells = np.repeat(np.arange(counts.size) * SUBPAGES_PER_HUGE_PAGE, counts)
+    cells += rng.integers(0, SUBPAGES_PER_HUGE_PAGE, size=cells.size, dtype=np.uint16)
+    picked = np.bincount(cells, minlength=counts.size * SUBPAGES_PER_HUGE_PAGE)
+    return picked.reshape(counts.size, SUBPAGES_PER_HUGE_PAGE)
+
+
 def _split_totals(
     totals: np.ndarray,
     huge_rates: np.ndarray,
@@ -39,10 +56,29 @@ def _split_totals(
 
     ``weights`` holds the pages' subpage rates, one row per total; a page
     without traffic (total and rate 0) gets an all-zero row.
+
+    Each row is Multinomial(total, weights / rate), drawn one of two exact
+    ways.  A row whose subpage rates are all equal and whose total is at
+    most :data:`UNIFORM_PICK_MAX_TOTAL` is its total's worth of uniform
+    subpage picks, counted: one bounded-integer draw covers every such
+    row.  Every other row is a ``rng.multinomial`` row, drawn in row order
+    after the picks.  Rows of neither kind touch ``rng`` when their total
+    is 0, so a batch without a nonzero even row draws what a multinomial
+    of every row draws.
     """
-    safe = np.where(huge_rates > 0, huge_rates, 1.0)[:, None]
-    pvals = np.where(huge_rates[:, None] > 0, weights / safe, 1.0 / SUBPAGES_PER_HUGE_PAGE)
-    return rng.multinomial(totals, pvals)
+    even = (weights.min(axis=1) == weights.max(axis=1)) & (totals <= UNIFORM_PICK_MAX_TOTAL)
+    picked = _uniform_pick_rows(totals[even], rng)
+    rest = ~even
+    # A page without traffic has equal (zero) rates and a zero total, so it
+    # is even: every other row has a positive rate.
+    pvals = weights[rest] / huge_rates[rest, None]
+    # Allocated after the picks' temporaries are freed.  Allocated before
+    # them, the rows sat below them in the heap, and freeing the epoch's
+    # profile at the end of the engine step trimmed the heap each epoch.
+    rows = np.empty(weights.shape, dtype=np.int64)
+    rows[even] = picked
+    rows[rest] = rng.multinomial(totals[rest], pvals)
+    return rows
 
 
 class Workload(abc.ABC):

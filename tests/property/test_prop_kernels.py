@@ -210,7 +210,7 @@ class TestColdPagesOrdering:
                 assert np.all(np.diff(half)[ties] > 0)
 
 
-class TestHierarchicalProfile:
+class TestSampledProfile:
     def _make(self, seed=0, num_huge=20, resolve=(2, 5, 17)):
         gen = np.random.default_rng(seed)
         weights = gen.random((num_huge, SUBPAGES_PER_HUGE_PAGE))
