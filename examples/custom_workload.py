@@ -4,7 +4,8 @@
 Defines a session-store-like workload from scratch — a Zipf-skewed key
 space whose hot set rotates every ten minutes (sessions expire, new users
 arrive) — and runs it under three policies on *identical* access streams
-(via trace record/replay):
+(each run builds a fresh workload under one seed, and what a policy does
+never changes the workload's draws):
 
 * Thermostat (the paper's policy),
 * kstaled-style Accessed-bit placement (the motivating baseline),
@@ -14,15 +15,12 @@ Run:
     python examples/custom_workload.py
 """
 
-import numpy as np
-
 from repro import SimulationConfig, ThermostatPolicy, run_simulation
 from repro.baselines import KstaledPolicy, StaticFractionPolicy
 from repro.metrics.report import format_table
 from repro.rng import make_rng
 from repro.workloads.distributions import zipfian_rates
 from repro.workloads.kv import KeyValueWorkload
-from repro.workloads.trace import TraceWorkload, record_trace
 
 NUM_PAGES = 200 * 512  # 400MB footprint
 TOTAL_RATE = 150_000.0  # accesses/sec
@@ -47,25 +45,16 @@ def make_session_store() -> KeyValueWorkload:
 
 
 def main() -> None:
-    # Record one access trace so every policy sees the same stream.
-    trace = record_trace(
-        make_session_store(),
-        num_epochs=int(DURATION / EPOCH),
-        epoch=EPOCH,
-        rng=make_rng(3),
-    )
+    # A fresh workload per run under one seed: every policy sees the
+    # same access stream.
     config = SimulationConfig(duration=DURATION, epoch=EPOCH, seed=1)
 
-    thermostat = run_simulation(TraceWorkload(trace), ThermostatPolicy(), config)
-
-    kstaled_replay = TraceWorkload(trace)
-    kstaled_replay.rewind()
-    kstaled = run_simulation(kstaled_replay, KstaledPolicy(idle_scans=1), config)
-
-    static_replay = TraceWorkload(trace)
-    static_replay.rewind()
+    thermostat = run_simulation(make_session_store(), ThermostatPolicy(), config)
+    kstaled = run_simulation(
+        make_session_store(), KstaledPolicy(idle_scans=1), config
+    )
     static = run_simulation(
-        static_replay,
+        make_session_store(),
         StaticFractionPolicy(thermostat.final_cold_fraction),
         config,
     )

@@ -5,8 +5,8 @@ values of the evaluation (Section 5) are the defaults: 3% tolerable
 slowdown, 1us slow memory, 30s scan interval, 5% huge-page sampling, at
 most 50 poisoned 4KB pages per sampled huge page.
 
-:class:`SimulationConfig` collects engine-level knobs (duration, seed,
-footprint scale) shared by experiments and benchmarks.
+:class:`SimulationConfig` collects engine-level knobs (duration, epoch,
+seed) shared by experiments and benchmarks.
 
 :class:`FaultConfig` parameterizes the fault-injection layer
 (:mod:`repro.faults`).  The default injects nothing, so experiment outputs
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError, ConfigWarning
 from repro.units import SLOW_MEMORY_LATENCY
@@ -46,8 +46,6 @@ class ThermostatConfig:
     #: Enable the Accessed-bit prefilter before poisoning (Section 3.2);
     #: disabling it falls back to naive random-K selection (ablation).
     enable_accessed_prefilter: bool = True
-    #: Collapse sampled-but-hot pages back to 2MB after classification.
-    collapse_after_sampling: bool = True
     #: Cap on new demotions per scan interval, as a fraction of all huge
     #: pages.  Linux's migration machinery is rate-limited in practice; the
     #: cap also bounds the damage of a burst of mis-classifications before
@@ -59,12 +57,16 @@ class ThermostatConfig:
             raise ConfigError(
                 f"tolerable_slowdown must be in (0, 1): {self.tolerable_slowdown}"
             )
-        if self.slow_memory_latency <= 0:
+        # Chained comparisons reject NaN and inf as well as non-positives.
+        if not 0.0 < self.slow_memory_latency < math.inf:
             raise ConfigError(
-                f"slow_memory_latency must be positive: {self.slow_memory_latency}"
+                "slow_memory_latency must be finite and positive: "
+                f"{self.slow_memory_latency}"
             )
-        if self.scan_interval <= 0:
-            raise ConfigError(f"scan_interval must be positive: {self.scan_interval}")
+        if not 0.0 < self.scan_interval < math.inf:
+            raise ConfigError(
+                f"scan_interval must be finite and positive: {self.scan_interval}"
+            )
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(
                 f"sample_fraction must be in (0, 1]: {self.sample_fraction}"
@@ -88,10 +90,6 @@ class ThermostatConfig:
         With the defaults this is the 30K accesses/sec of Figure 3.
         """
         return self.tolerable_slowdown / self.slow_memory_latency
-
-    def with_slowdown(self, tolerable_slowdown: float) -> "ThermostatConfig":
-        """Return a copy with a different slowdown target (Figure 11 sweep)."""
-        return replace(self, tolerable_slowdown=tolerable_slowdown)
 
 
 @dataclass(frozen=True)
@@ -264,15 +262,11 @@ class SimulationConfig:
     epoch: float = 30.0
     #: RNG seed (None = library default).
     seed: int | None = None
-    #: Footprint scale factor applied to workload models (1.0 = paper size).
-    #: Benchmarks use smaller scales to keep runtimes tractable.
-    footprint_scale: float = 1.0
     #: Draw per-epoch access counts from a Poisson around the rate model
     #: (True) or use deterministic expectations (False, for tests).
     stochastic: bool = True
     #: Fault-injection knobs; the default injects nothing.
     faults: FaultConfig = field(default_factory=FaultConfig)
-    extra: dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -281,10 +275,6 @@ class SimulationConfig:
             raise ConfigError(
                 f"epoch must be in (0, duration]: epoch={self.epoch} "
                 f"duration={self.duration}"
-            )
-        if self.footprint_scale <= 0:
-            raise ConfigError(
-                f"footprint_scale must be positive: {self.footprint_scale}"
             )
         tail = self.truncated_tail
         if tail > 1e-6 * self.epoch:

@@ -22,21 +22,6 @@ import numpy as np
 from repro.errors import ConfigError
 
 
-def slowdown_to_rate_budget(tolerable_slowdown: float, slow_latency: float) -> float:
-    """Translate a slowdown fraction into an access-rate budget (acc/sec).
-
-    With the paper's defaults (3%, 1us) this returns the 30,000
-    accesses/sec that Figure 3's horizontal target line sits at.
-    """
-    if not 0.0 < tolerable_slowdown < 1.0:
-        raise ConfigError(
-            f"tolerable_slowdown must be in (0, 1): {tolerable_slowdown}"
-        )
-    if slow_latency <= 0:
-        raise ConfigError(f"slow_latency must be positive: {slow_latency}")
-    return tolerable_slowdown / slow_latency
-
-
 @dataclass(frozen=True)
 class ClassificationResult:
     """Outcome of one classification pass."""

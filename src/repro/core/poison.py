@@ -43,16 +43,6 @@ class PoisonBudget:
 
     # ------------------------------------------------------------------
 
-    @property
-    def poisoned_base_pages(self) -> int:
-        """4KB pages poisoned individually (the sampling monitor)."""
-        return self._poisoned_base
-
-    @property
-    def poisoned_huge_pages(self) -> int:
-        """2MB pages poisoned wholesale (the cold-page monitors)."""
-        return self._poisoned_huge
-
     def fraction(self, include_cold_monitors: bool = False) -> float:
         """Fraction of the footprint currently poisoned.
 

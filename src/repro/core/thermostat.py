@@ -422,7 +422,7 @@ class ThermostatPolicy(PlacementPolicy):
         # period splits a fresh one.
         # ------------------------------------------------------------------
         with obs.phase("sample"):
-            if cfg.collapse_after_sampling and sample.size:
+            if sample.size:
                 state.set_split(sample, False)
             if self._sampler is None:
                 self._sampler = CyclingSampler(rng)

@@ -102,23 +102,6 @@ class EventValidationError(ServiceError):
     """
 
 
-class CircuitOpenError(ServiceError):
-    """The circuit breaker around the policy engine is open.
-
-    Requests arriving while open are served from the last-known-good
-    decision cache (flagged degraded) instead of touching the engine.
-    """
-
-
-class DeadlineExceededError(ServiceError):
-    """A placement request ran out of its latency budget.
-
-    Includes retry backoff and injected consumer stalls: a request whose
-    remaining budget cannot fit another engine attempt degrades instead
-    of queueing unbounded work behind the deadline.
-    """
-
-
 class TaskTimeoutError(ReproError):
     """A supervised task exceeded its per-task wall-clock budget.
 

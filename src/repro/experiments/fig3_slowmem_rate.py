@@ -27,9 +27,6 @@ class SlowRateResult:
     series: TimeSeries
     target_rate: float
 
-    def mean_rate(self) -> float:
-        return self.series.mean()
-
     def peak_rate(self) -> float:
         return self.series.max()
 

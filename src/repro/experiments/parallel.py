@@ -56,7 +56,7 @@ from repro.sim.stats import StatsRegistry
 
 #: Bump when the payload layout changes; part of every cache key, so a
 #: format change can never misread an old on-disk entry.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Policies a :class:`RunSpec` can name (validated eagerly, built lazily).
 POLICY_NAMES = ("thermostat", "all-dram", "kstaled", "oracle")

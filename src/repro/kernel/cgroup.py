@@ -55,19 +55,21 @@ class MemoryCgroup:
 
         Accepts either the cgroup file name (``thermostat.scan_interval``)
         or the bare field name (``scan_interval``).  Values may be strings
-        (as if echoed into the file) or native types.
+        (as if echoed into the file) or native types.  Unparseable or
+        non-integral values raise :class:`ConfigError` and, like values
+        that fail validation, leave the group untouched.
         """
         field = _KNOBS.get(knob, knob)
         if field not in {f for f in _KNOBS.values()}:
             raise ConfigError(f"unknown Thermostat knob: {knob!r}")
-        current = getattr(self._config, field)
+        # The knob's type is its default's, whatever the current value's
+        # type (ThermostatConfig(scan_interval=10) holds an int).
+        kind = type(getattr(ThermostatConfig, field))
         parsed: object
-        if isinstance(current, bool):
+        if kind is bool:
             parsed = self._parse_bool(value)
-        elif isinstance(current, int):
-            parsed = int(value)
         else:
-            parsed = float(value)
+            parsed = self._parse_number(value, kind)
         # replace() re-runs ThermostatConfig validation.
         self._config = replace(self._config, **{field: parsed})
         self.generation += 1
@@ -92,6 +94,18 @@ class MemoryCgroup:
                 return False
             raise ConfigError(f"cannot parse boolean knob value {value!r}")
         return bool(value)
+
+    @staticmethod
+    def _parse_number(value: str | float | int | bool, kind: type) -> float | int:
+        try:
+            parsed = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(
+                f"cannot parse {kind.__name__} knob value {value!r}"
+            ) from exc
+        if kind is int and not isinstance(value, str) and parsed != value:
+            raise ConfigError(f"int knob value {value!r} is not integral")
+        return parsed
 
     def knobs(self) -> dict[str, str]:
         """All knob files and their current values."""

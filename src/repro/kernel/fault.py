@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.mem.address import VirtualAddress
@@ -41,14 +41,6 @@ class FaultContext:
 
 #: A fault handler returns the latency (seconds) it consumed.
 FaultHandler = Callable[[FaultContext], float]
-
-
-class SupportsFaultDispatch(Protocol):
-    """Anything that can register and route fault handlers."""
-
-    def register(self, kind: FaultKind, handler: FaultHandler) -> None: ...
-
-    def dispatch(self, context: FaultContext) -> float: ...
 
 
 class FaultDispatcher:

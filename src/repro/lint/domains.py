@@ -42,10 +42,6 @@ class ModuleInfo:
         return self.domain == "sim"
 
     @property
-    def is_test(self) -> bool:
-        return self.domain == "tests"
-
-    @property
     def wall_clock_allowed(self) -> bool:
         """True for files on the explicit host-clock allowlist."""
         return any(self.path.endswith(entry) for entry in WALL_CLOCK_ALLOWLIST)

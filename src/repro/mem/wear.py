@@ -153,11 +153,6 @@ class StartGapWearLeveler:
         else:
             self.gap -= 1
 
-    @property
-    def num_slots(self) -> int:
-        """Physical slots including the spare."""
-        return self.num_lines + 1
-
 
 def simulate_wear(
     logical_write_rates: np.ndarray,

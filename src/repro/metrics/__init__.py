@@ -1,6 +1,5 @@
 """Metrics and report formatting for the reproduction's tables and figures."""
 
 from repro.metrics.report import Table, format_figure_series, format_table
-from repro.metrics.slowdown import SlowdownModel
 
-__all__ = ["Table", "format_table", "format_figure_series", "SlowdownModel"]
+__all__ = ["Table", "format_table", "format_figure_series"]

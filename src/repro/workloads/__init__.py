@@ -13,17 +13,11 @@ configurations live in :mod:`repro.workloads.registry`.
 """
 
 from repro.workloads.base import RateModelWorkload, Workload
-from repro.workloads.composite import CompositeWorkload
 from repro.workloads.registry import WORKLOAD_NAMES, make_workload, workload_suite
-from repro.workloads.trace import EpochTrace, TraceWorkload, record_trace
 
 __all__ = [
     "Workload",
     "RateModelWorkload",
-    "CompositeWorkload",
-    "EpochTrace",
-    "TraceWorkload",
-    "record_trace",
     "WORKLOAD_NAMES",
     "make_workload",
     "workload_suite",

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.errors import WorkloadError
 from repro.rng import label_seed, make_rng
 from repro.units import GB, MB, bytes_to_pages
@@ -41,7 +39,6 @@ from repro.workloads.distributions import (
 from repro.workloads.kv import KeyValueWorkload
 from repro.workloads.tpcc import TpccWorkload
 from repro.workloads.websearch import WebSearchWorkload
-from repro.workloads.ycsb import YcsbSpec, page_rates_from_keys, zipf_key_masses
 
 #: Table 2 of the paper: (resident set size, file-mapped bytes).
 TABLE2_FOOTPRINTS: dict[str, tuple[int, int]] = {
@@ -56,9 +53,7 @@ TABLE2_FOOTPRINTS: dict[str, tuple[int, int]] = {
 #: Baseline throughputs the paper reports for the all-DRAM THP baseline.
 BASELINE_OPS: dict[str, float] = {
     "aerospike": 176_000.0,  # read-heavy
-    "aerospike-write": 215_000.0,
     "cassandra": 45_000.0,  # write-heavy (Figure 5)
-    "cassandra-read": 21_000.0,
     "mysql-tpcc": 2_000.0,
     "redis": 188_000.0,
     "in-memory-analytics": 10_000.0,
@@ -100,11 +95,8 @@ def _check_scale(scale: float) -> None:
         raise WorkloadError(f"scale must be in (0, 1]: {scale}")
 
 
-def make_aerospike(
-    scale: float = 1.0, seed: int | None = None, write_heavy: bool = False
-) -> Workload:
-    """Aerospike under YCSB traffic (95:5 by default, 5:95 with
-    ``write_heavy``).
+def make_aerospike(scale: float = 1.0, seed: int | None = None) -> Workload:
+    """Aerospike under read-heavy (95:5) YCSB traffic.
 
     The gradual Zipf-like popularity gradient (exponential decay with a
     0.2-footprint half-life) yields ~15% cold at 3% and a cold fraction
@@ -120,73 +112,23 @@ def make_aerospike(
         rng=rng,
         shuffle=True,
     )
-    name = "aerospike-write" if write_heavy else "aerospike"
     return KeyValueWorkload(
-        name,
+        "aerospike",
         rates,
         file_mapped_bytes=file_mapped,
-        baseline_ops_per_second=BASELINE_OPS[name],
-        write_fraction=0.95 if write_heavy else 0.05,
+        baseline_ops_per_second=BASELINE_OPS["aerospike"],
+        write_fraction=0.05,
         burstiness=0.3,
         duty_threshold=60.0 / scale,
         duty_floor=0.35,
         drift_interval=300.0,
         drift_fraction=0.001,
-        drift_seed=label_seed(f"{name}-drift"),
+        drift_seed=label_seed("aerospike-drift"),
     )
 
 
-def make_aerospike_ycsb(
-    scale: float = 1.0, seed: int | None = None, write_heavy: bool = False
-) -> Workload:
-    """Aerospike built bottom-up from YCSB key popularity.
-
-    An alternative to :func:`make_aerospike`: instead of a hand-sculpted
-    page-rate curve, the paper's actual traffic description is projected
-    onto pages — 5M Zipfian(0.99) keys of ~1KB packed four to a page
-    (70% of accesses), plus the in-memory primary index and allocator
-    overhead spread across the rest of the footprint (30% — Aerospike
-    walks its index on every operation).  Useful for checking that the
-    reproduction's conclusions do not hinge on the curve-fitting choice.
-    """
-    _check_scale(scale)
-    rng = make_rng(label_seed("aerospike-ycsb") if seed is None else seed)
-    num_pages, file_mapped = _pages("aerospike", scale)
-    record_count = int(5_000_000 * scale)
-    if write_heavy:
-        spec = YcsbSpec.write_heavy(record_count=record_count)
-    else:
-        spec = YcsbSpec.read_heavy(record_count=record_count)
-    keys_per_page = 4  # ~1KB records
-    data_share = 0.7
-    masses = zipf_key_masses(spec.record_count, spec.zipf_exponent)
-    rates = page_rates_from_keys(
-        masses,
-        keys_per_page,
-        data_share * spec.total_access_rate,
-        num_pages,
-        rng=rng,
-        shuffle=True,
-    )
-    rates += (1.0 - data_share) * spec.total_access_rate / num_pages
-    name = "aerospike-ycsb-write" if write_heavy else "aerospike-ycsb"
-    return KeyValueWorkload(
-        name,
-        rates,
-        file_mapped_bytes=file_mapped,
-        baseline_ops_per_second=spec.ops_per_second,
-        write_fraction=spec.write_fraction,
-        burstiness=0.3,
-        drift_interval=300.0,
-        drift_fraction=0.001,
-        drift_seed=label_seed(f"{name}-drift"),
-    )
-
-
-def make_cassandra(
-    scale: float = 1.0, seed: int | None = None, read_heavy: bool = False
-) -> Workload:
-    """Cassandra under YCSB traffic (write-heavy 5:95 by default).
+def make_cassandra(scale: float = 1.0, seed: int | None = None) -> Workload:
+    """Cassandra under write-heavy (5:95) YCSB traffic.
 
     Base footprint: 5GB keyspace (Zipf-like bands) + 4GB file-mapped
     SSTables (nearly cold); the resident set then grows by ~3GB of
@@ -210,17 +152,16 @@ def make_cassandra(
         rng=rng,
         shuffle=True,
     )
-    name = "cassandra-read" if read_heavy else "cassandra"
     # Per-4KB-page rates of the growth region must scale with 1/scale so the
     # region's *aggregate* traffic (what the budget sees) is scale-invariant.
     return CassandraWorkload(
-        name,
+        "cassandra",
         base_rates,
         growth_bytes=growth_bytes,
         growth_duration=1200.0,
         file_mapped_bytes=int(file_mapped * scale),
-        baseline_ops_per_second=BASELINE_OPS[name],
-        write_fraction=0.05 if read_heavy else 0.95,
+        baseline_ops_per_second=BASELINE_OPS["cassandra"],
+        write_fraction=0.95,
         burstiness=0.4,
         duty_threshold=15.0 / scale,
         duty_floor=0.05,
@@ -339,21 +280,10 @@ _FACTORIES: dict[str, Callable[..., Workload]] = {
 
 def make_workload(name: str, scale: float = 1.0, seed: int | None = None) -> Workload:
     """Build one suite workload by its canonical name."""
-    variants = {
-        "aerospike-write": lambda s, sd: make_aerospike(s, sd, write_heavy=True),
-        "aerospike-ycsb": lambda s, sd: make_aerospike_ycsb(s, sd),
-        "aerospike-ycsb-write": lambda s, sd: make_aerospike_ycsb(
-            s, sd, write_heavy=True
-        ),
-        "cassandra-read": lambda s, sd: make_cassandra(s, sd, read_heavy=True),
-    }
-    if name in variants:
-        return variants[name](scale, seed)
     factory = _FACTORIES.get(name)
     if factory is None:
         raise WorkloadError(
-            f"unknown workload {name!r}; choose from {sorted(_FACTORIES)} "
-            f"or {sorted(variants)}"
+            f"unknown workload {name!r}; choose from {sorted(_FACTORIES)}"
         )
     return factory(scale, seed)
 

@@ -3,26 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.classifier import select_cold_pages, slowdown_to_rate_budget
+from repro.core.classifier import select_cold_pages
 from repro.errors import ConfigError
-
-
-class TestBudgetTranslation:
-    def test_paper_value(self):
-        """3% at 1us -> 30K accesses/sec."""
-        assert slowdown_to_rate_budget(0.03, 1e-6) == pytest.approx(30_000)
-
-    def test_linear_in_slowdown(self):
-        assert slowdown_to_rate_budget(0.06, 1e-6) == pytest.approx(60_000)
-
-    def test_inverse_in_latency(self):
-        assert slowdown_to_rate_budget(0.03, 4e-7) == pytest.approx(75_000)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            slowdown_to_rate_budget(0.0, 1e-6)
-        with pytest.raises(ConfigError):
-            slowdown_to_rate_budget(0.03, 0.0)
 
 
 class TestSelectColdPages:

@@ -109,19 +109,6 @@ class TestEngineContracts:
         assert result.state.last_deferred_demotions.size == 3
         assert result.stats.counter("fault_deferred_pages").value == 3
 
-    def test_exhausted_trace_fails_loudly(self):
-        from repro.rng import make_rng
-        from repro.workloads.trace import TraceWorkload, record_trace
-
-        trace = record_trace(small_workload(), num_epochs=2, epoch=30.0,
-                             rng=make_rng(0))
-        with pytest.raises(WorkloadError):
-            run_simulation(
-                TraceWorkload(trace),
-                AllDramPolicy(),
-                SimulationConfig(duration=120, epoch=30, seed=0),  # 4 epochs
-            )
-
     def test_negative_rates_rejected_at_construction(self):
         with pytest.raises(WorkloadError):
             RateModelWorkload("bad", np.array([1.0, -2.0]))

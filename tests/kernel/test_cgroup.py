@@ -28,6 +28,11 @@ class TestReadWrite:
         group.write("max_poisoned_subpages", "25")
         assert group.config.max_poisoned_subpages == 25
 
+    def test_knob_type_comes_from_the_field(self):
+        group = MemoryCgroup("test", ThermostatConfig(scan_interval=10))
+        group.write("scan_interval", "12.5")
+        assert group.config.scan_interval == pytest.approx(12.5)
+
     def test_bool_knob_strings(self):
         group = MemoryCgroup("test")
         group.write("enable_correction", "0")
@@ -45,12 +50,27 @@ class TestReadWrite:
         with pytest.raises(ConfigError):
             MemoryCgroup("test").read("nonsense")
 
-    def test_validation_still_applies(self):
+    @pytest.mark.parametrize(
+        ("knob", "value"),
+        [
+            ("tolerable_slowdown", "2.0"),
+            ("slow_memory_latency", "nan"),
+            ("slow_memory_latency", "inf"),
+            ("scan_interval", "nan"),
+            ("scan_interval", "inf"),
+            ("max_poisoned_subpages", "2.5"),
+            ("max_poisoned_subpages", 2.7),
+            ("sample_fraction", "abc"),
+        ],
+    )
+    def test_validation_still_applies(self, knob, value):
         group = MemoryCgroup("test")
+        before = group.config
         with pytest.raises(ConfigError):
-            group.write("tolerable_slowdown", "2.0")
-        # Failed write leaves the config untouched.
-        assert group.config.tolerable_slowdown == pytest.approx(0.03)
+            group.write(knob, value)
+        # Failed write leaves the config and its generation untouched.
+        assert group.config == before
+        assert group.generation == 0
 
     def test_generation_bumps_on_write(self):
         group = MemoryCgroup("test")

@@ -1,6 +1,5 @@
 """Tests for the policy interface and report container."""
 
-import numpy as np
 import pytest
 
 from repro.sim.policy import PlacementPolicy, PolicyReport
@@ -34,21 +33,6 @@ class TestPlacementPolicy:
                 return PolicyReport()
 
         assert Dummy().describe() == "dummy"
-
-
-class TestMemoryAccess:
-    def test_construction(self):
-        from repro.mem.access import MemoryAccess
-
-        access = MemoryAccess(address=0x1000, write=True)
-        assert access.address == 0x1000
-        assert access.write
-
-    def test_negative_address_rejected(self):
-        from repro.mem.access import MemoryAccess
-
-        with pytest.raises(ValueError, match="negative address"):
-            MemoryAccess(address=-1)
 
 
 class TestVersion:

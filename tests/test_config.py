@@ -27,20 +27,15 @@ class TestThermostatConfig:
         cfg = ThermostatConfig(slow_memory_latency=2e-6)
         assert cfg.slow_access_rate_budget == pytest.approx(15_000)
 
-    def test_with_slowdown_returns_new_config(self):
-        cfg = ThermostatConfig()
-        swept = cfg.with_slowdown(0.10)
-        assert swept.tolerable_slowdown == pytest.approx(0.10)
-        assert cfg.tolerable_slowdown == pytest.approx(0.03)
-
     @pytest.mark.parametrize("slowdown", [0.0, 1.0, -0.1, 2.0])
     def test_bad_slowdown_rejected(self, slowdown):
         with pytest.raises(ConfigError):
             ThermostatConfig(tolerable_slowdown=slowdown)
 
     def test_bad_latency_rejected(self):
-        with pytest.raises(ConfigError):
-            ThermostatConfig(slow_memory_latency=0)
+        for latency in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                ThermostatConfig(slow_memory_latency=latency)
 
     def test_bad_sample_fraction_rejected(self):
         with pytest.raises(ConfigError):
@@ -106,10 +101,6 @@ class TestSimulationConfig:
     def test_epoch_longer_than_duration_rejected(self):
         with pytest.raises(ConfigError):
             SimulationConfig(duration=10, epoch=30)
-
-    def test_bad_scale_rejected(self):
-        with pytest.raises(ConfigError):
-            SimulationConfig(footprint_scale=0)
 
     def test_faults_default_to_disabled(self):
         cfg = SimulationConfig(duration=300, epoch=30)

@@ -30,12 +30,6 @@ class TestSuiteConstruction:
         with pytest.raises(WorkloadError):
             make_workload("redis", scale=2.0)
 
-    def test_variants(self):
-        write_heavy = make_workload("aerospike-write", scale=SCALE)
-        assert write_heavy.write_fraction == pytest.approx(0.95)
-        read_heavy = make_workload("cassandra-read", scale=SCALE)
-        assert read_heavy.write_fraction == pytest.approx(0.05)
-
 
 class TestCalibrationInvariants:
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
@@ -97,30 +91,3 @@ class TestShapeSignatures:
         quartiles = np.percentile(huge, [25, 50, 75])
         assert quartiles[0] < quartiles[1] < quartiles[2]
         assert quartiles[2] < 30 * max(quartiles[0], 1e-9)
-
-
-class TestYcsbBuiltVariant:
-    def test_ycsb_variant_buildable(self):
-        workload = make_workload("aerospike-ycsb", scale=SCALE)
-        assert workload.total_access_rate() == pytest.approx(1.408e6, rel=0.01)
-        assert workload.write_fraction == pytest.approx(0.05)
-
-    def test_ycsb_write_heavy_variant(self):
-        workload = make_workload("aerospike-ycsb-write", scale=SCALE)
-        assert workload.write_fraction == pytest.approx(0.95)
-
-    def test_ycsb_variant_agrees_with_curve_fit(self):
-        """Both Aerospike models must put the coldest-15% mass in the same
-        ballpark — the conclusions should not hinge on curve fitting."""
-        import numpy as np
-
-        def cold_tail_mass(workload, fraction=0.15):
-            huge = workload.rates_at(0.0).reshape(-1, 512).sum(axis=1)
-            huge = np.sort(huge)
-            take = max(1, int(fraction * huge.size))
-            return huge[:take].sum() / huge.sum()
-
-        fitted = cold_tail_mass(make_workload("aerospike", scale=SCALE))
-        ycsb = cold_tail_mass(make_workload("aerospike-ycsb", scale=SCALE))
-        assert ycsb < 0.12
-        assert fitted < 0.12

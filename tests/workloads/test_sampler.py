@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import StaticFractionPolicy
+from repro.baselines import KstaledPolicy, StaticFractionPolicy
 from repro.config import SimulationConfig
 from repro.core.thermostat import ThermostatPolicy
 from repro.rng import make_rng
@@ -31,7 +31,6 @@ from repro.sim.engine import EpochSimulation
 from repro.units import SUBPAGES_PER_HUGE_PAGE
 from repro.workloads import WORKLOAD_NAMES, make_workload
 from repro.workloads.base import UNIFORM_PICK_MAX_TOTAL, RateModelWorkload, _split_totals
-from repro.workloads.composite import CompositeWorkload
 from repro.workloads.kv import KeyValueWorkload
 
 EPOCHS = 6
@@ -73,22 +72,6 @@ def test_resolving_is_a_view_of_one_draw(name):
         assert none.resolved_ids.size == 0
 
 
-def test_composite_routes_resolved_ids_to_members():
-    def factory():
-        return CompositeWorkload(
-            "pair",
-            [make_workload("redis", scale=0.01), make_workload("web-search", scale=0.01)],
-        )
-
-    boundary = factory().member_range(1)[0]
-    picks = np.array([boundary + 1, 0, boundary - 1])
-    dense, _ = _draws(factory, lambda w: None)
-    sparse, _ = _draws(factory, lambda w: picks)
-    for full, part in zip(dense, sparse, strict=True):
-        assert np.array_equal(full.huge_counts(), part.huge_counts())
-        assert np.array_equal(part.subpage_rows(picks).sum(axis=1), full.huge_counts()[picks])
-
-
 def test_resolved_rows_follow_rate_weights():
     """A page's mean row converges on its subpage rates x duration."""
     rates = np.ones(2 * SUBPAGES_PER_HUGE_PAGE)
@@ -116,28 +99,39 @@ def test_deterministic_profiles_are_rounded_expectations():
     assert np.array_equal(sparse.subpage_rows([2]), dense.subpage_rows([2]))
 
 
-def test_paired_policies_see_the_same_access_stream():
+@pytest.mark.parametrize(
+    ("name", "duration"),
+    [
+        ("redis", 300.0),
+        ("aerospike", 660.0),  # crosses the drift events at 300 s and 600 s
+        ("cassandra", 660.0),  # the footprint grows every epoch
+    ],
+)
+def test_paired_policies_see_the_same_access_stream(name, duration):
     """The workload's draws do not depend on what the policy splits.
 
-    Thermostat splits a rotating sample; a static policy splits nothing.
-    Both engines must still see the same 2MB traffic every epoch, so a
-    paired policy comparison runs on one access stream.
+    Thermostat splits a rotating sample; kstaled demotes whatever went
+    idle and a static policy a fixed share, and neither splits.  Every
+    engine must still see the same 2MB traffic every epoch, so a paired
+    policy comparison runs on one access stream.
     """
     seen = []
-    for policy in (ThermostatPolicy(), StaticFractionPolicy(0.3)):
+    for policy in (ThermostatPolicy(), KstaledPolicy(idle_scans=1), StaticFractionPolicy(0.3)):
         sim = EpochSimulation(
-            make_workload("redis", scale=0.01),
+            make_workload(name, scale=0.01),
             policy,
-            SimulationConfig(duration=300.0, seed=4),
+            SimulationConfig(duration=duration, seed=4),
         )
         totals = []
         sim.profile_filter = lambda p, i, totals=totals: totals.append(p.huge_counts()) or p
         sim.run()
         seen.append(totals)
-    first, second = seen
-    assert len(first) == len(second) == 10
-    for a, b in zip(first, second, strict=True):
-        assert np.array_equal(a, b)
+    first, *others = seen
+    assert len(first) == round(duration / 30.0)
+    for other in others:
+        assert len(other) == len(first)
+        for a, b in zip(first, other, strict=True):
+            assert np.array_equal(a, b)
 
 
 class _WritableRates(KeyValueWorkload):
