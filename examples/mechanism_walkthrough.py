@@ -42,11 +42,10 @@ def main() -> None:
           f"{len(space.huge_pages())} huge pages; hot pages: {list(HOT_PAGES)}")
 
     config = ThermostatConfig(
-        scan_interval=1.0,
         sample_fraction=0.25,
         slow_memory_latency=1e-3,  # budget: 30 accesses/sec
     )
-    thermostat = MechanismThermostat(space, config, rng)
+    thermostat = MechanismThermostat(space, config, rng, scan_interval=1.0)
     print(f"slowdown budget: {config.slow_access_rate_budget:.0f} slow acc/s\n")
 
     for period in range(1, 9):

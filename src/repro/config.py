@@ -2,11 +2,12 @@
 
 :class:`ThermostatConfig` collects the knobs of the paper's Section 3; the
 values of the evaluation (Section 5) are the defaults: 3% tolerable
-slowdown, 1us slow memory, 30s scan interval, 5% huge-page sampling, at
-most 50 poisoned 4KB pages per sampled huge page.
+slowdown, 1us slow memory, 5% huge-page sampling, at most 50 poisoned 4KB
+pages per sampled huge page.  The 30s scan interval is the engine epoch
+(:attr:`SimulationConfig.epoch`).
 
 :class:`SimulationConfig` collects engine-level knobs (duration, epoch,
-seed) shared by experiments and benchmarks.
+seed) shared by experiments and tests.
 
 :class:`FaultConfig` parameterizes the fault-injection layer
 (:mod:`repro.faults`).  The default injects nothing, so experiment outputs
@@ -35,8 +36,6 @@ class ThermostatConfig:
     tolerable_slowdown: float = 0.03
     #: Assumed slow-memory access latency t_s, seconds (policy input).
     slow_memory_latency: float = SLOW_MEMORY_LATENCY
-    #: Scan interval between policy invocations, seconds.
-    scan_interval: float = 30.0
     #: Fraction of huge pages sampled (split) per scan interval.
     sample_fraction: float = 0.05
     #: Maximum number of 4KB pages poisoned within one sampled huge page.
@@ -62,10 +61,6 @@ class ThermostatConfig:
             raise ConfigError(
                 "slow_memory_latency must be finite and positive: "
                 f"{self.slow_memory_latency}"
-            )
-        if not 0.0 < self.scan_interval < math.inf:
-            raise ConfigError(
-                f"scan_interval must be finite and positive: {self.scan_interval}"
             )
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(
@@ -258,7 +253,7 @@ class SimulationConfig:
 
     #: Total simulated duration, seconds.
     duration: float = 1200.0
-    #: Epoch length; defaults to the Thermostat scan interval.
+    #: Epoch length: the Thermostat scan interval, seconds.
     epoch: float = 30.0
     #: RNG seed (None = library default).
     seed: int | None = None

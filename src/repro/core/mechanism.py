@@ -64,9 +64,13 @@ class MechanismThermostat:
         address_space: AddressSpace,
         config: ThermostatConfig | None = None,
         rng: np.random.Generator | None = None,
+        *,
+        scan_interval: float,
     ) -> None:
         self.address_space = address_space
         self.config = config or ThermostatConfig()
+        #: Seconds of application time between ``advance_scan`` calls.
+        self.scan_interval = scan_interval
         self.rng = rng or np.random.default_rng(0)
         self.badgertrap = BadgerTrap(address_space)
         self.khugepaged = Khugepaged(address_space)
@@ -105,7 +109,7 @@ class MechanismThermostat:
                     poisoned_counts=counts,
                 )
             )
-        rates = estimate_huge_page_rates(samples, self.config.scan_interval)
+        rates = estimate_huge_page_rates(samples, self.scan_interval)
         report.estimated_rates = rates
 
         total_huge = self._total_huge_regions()
@@ -146,7 +150,7 @@ class MechanismThermostat:
             cold_ids,
             counts,
             self.config.slow_access_rate_budget,
-            self.config.scan_interval,
+            self.scan_interval,
         )
         for huge_vpn in correction.promote:
             huge_vpn = int(huge_vpn)
@@ -236,7 +240,7 @@ class MechanismThermostat:
         self._stage_correct(report)
         self._stage_poison(report)
         self._stage_split(report)
-        self.address_space.clock.advance(self.config.scan_interval)
+        self.address_space.clock.advance(self.scan_interval)
         return report
 
     @property

@@ -10,8 +10,8 @@ Paper Section 3.2.  Two stages bound the monitoring overhead:
 
 The Accessed-bit prefilter is the load-bearing trick: a naive random-K
 choice of subpages misses the few hot 4KB regions of a mostly-idle huge
-page and under-estimates its rate (the ablation bench
-``benchmarks/test_ablation_prefilter.py`` quantifies this).  With the
+page and under-estimates its rate (``TestPrefilterAblation`` in
+``tests/core/test_thermostat_policy.py`` checks this).  With the
 defaults only ~0.5% of memory is ever poisoned at once.
 """
 

@@ -3,8 +3,8 @@
 Each module exposes a ``run(...)`` function returning structured results
 and a ``main()`` that prints the paper-comparable rows; the
 :mod:`repro.experiments.runner` CLI stitches them together.  The
-benchmarks under ``benchmarks/`` call the same ``run`` functions, so a
-bench run regenerates exactly what the CLI prints.
+paper-claims tests (``tests/integration/test_paper_claims.py``) call the
+same ``run`` functions, so they check exactly what the CLI prints.
 """
 
 from repro.experiments.common import (

@@ -8,10 +8,10 @@ span the same x-axes.
 ``scale`` shrinks footprints for tractable runtimes.  The workload models
 keep aggregate access rates scale-invariant, so cold fractions and
 slowdowns are comparable across scales; per-page rates inflate by
-``1/scale``, which benchmark tolerances account for.
+``1/scale``, which the paper-claims tests' tolerances account for.
 
 Runs are shared through a process-wide
-:class:`~repro.experiments.parallel.ResultStore`: several benchmarks
+:class:`~repro.experiments.parallel.ResultStore`: several experiments
 asking for the same (workload, policy, config, seed) tuple reuse one
 simulation, but each caller gets an independent rehydrated copy —
 mutating a returned result can never corrupt another experiment's view
@@ -32,7 +32,7 @@ from repro.obs import ObsConfig, clear_env
 from repro.sim.engine import SimulationResult
 from repro.workloads import WORKLOAD_NAMES
 
-#: Footprint scale used by default in experiments and benchmarks.
+#: Footprint scale used by default in experiments.
 DEFAULT_SCALE = 0.1
 #: Default RNG seed for experiment runs.
 DEFAULT_SEED = 1

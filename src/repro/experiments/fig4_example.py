@@ -53,12 +53,11 @@ def run(
     space = AddressSpace(use_llc=False)
     space.mmap(0, NUM_HUGE_PAGES * HUGE_PAGE_SIZE, name="example-heap")
     config = ThermostatConfig(
-        scan_interval=1.0,
         sample_fraction=SAMPLE_FRACTION,
         slow_memory_latency=1e-3,  # budget = 30 accesses/sec
         max_poisoned_subpages=50,
     )
-    thermostat = MechanismThermostat(space, config, rng)
+    thermostat = MechanismThermostat(space, config, rng, scan_interval=1.0)
 
     result = ExampleResult(hot_page_ids=hot_pages)
     cold_pages = [p for p in range(NUM_HUGE_PAGES) if p not in hot_pages]

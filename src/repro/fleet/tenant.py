@@ -120,11 +120,7 @@ class Tenant:
             if spec.tolerable_slowdown is not None
             else spec.slo_slowdown
         )
-        self.policy = ThermostatPolicy(
-            ThermostatConfig(
-                tolerable_slowdown=target, scan_interval=fleet_config.epoch
-            )
-        )
+        self.policy = ThermostatPolicy(ThermostatConfig(tolerable_slowdown=target))
         workload = make_workload(spec.workload, scale=spec.scale)
         self.engine = EpochSimulation(
             workload,

@@ -20,7 +20,6 @@ from repro.errors import ConfigError
 _KNOBS = {
     "thermostat.tolerable_slowdown": "tolerable_slowdown",
     "thermostat.slow_memory_latency": "slow_memory_latency",
-    "thermostat.scan_interval": "scan_interval",
     "thermostat.sample_fraction": "sample_fraction",
     "thermostat.max_poisoned_subpages": "max_poisoned_subpages",
     "thermostat.enable_correction": "enable_correction",
@@ -53,8 +52,8 @@ class MemoryCgroup:
     def write(self, knob: str, value: str | float | int | bool) -> None:
         """Set one parameter, cgroup-file style.
 
-        Accepts either the cgroup file name (``thermostat.scan_interval``)
-        or the bare field name (``scan_interval``).  Values may be strings
+        Accepts either the cgroup file name (``thermostat.sample_fraction``)
+        or the bare field name (``sample_fraction``).  Values may be strings
         (as if echoed into the file) or native types.  Unparseable or
         non-integral values raise :class:`ConfigError` and, like values
         that fail validation, leave the group untouched.
@@ -63,7 +62,7 @@ class MemoryCgroup:
         if field not in {f for f in _KNOBS.values()}:
             raise ConfigError(f"unknown Thermostat knob: {knob!r}")
         # The knob's type is its default's, whatever the current value's
-        # type (ThermostatConfig(scan_interval=10) holds an int).
+        # type (ThermostatConfig(sample_fraction=1) holds an int).
         kind = type(getattr(ThermostatConfig, field))
         parsed: object
         if kind is bool:

@@ -14,10 +14,8 @@ the slow tier).  The per-request extra latency is then
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigError
 from repro.units import DRAM_LATENCY, SLOW_MEMORY_LATENCY
@@ -52,7 +50,7 @@ class LatencyModel:
         if not 0.0 < percentile < 100.0:
             raise ConfigError(f"percentile must be in (0, 100): {percentile}")
         n = int(round(self.accesses_per_op))
-        slow_accesses = float(stats.binom.ppf(percentile / 100.0, n, q))
+        slow_accesses = binomial_quantile(percentile / 100.0, n, q)
         return self.base_latency + slow_accesses * self._extra_per_slow_access()
 
     def mean(self, q: float) -> float:
@@ -100,6 +98,20 @@ class LatencyModel:
             / self.mean_response(0.0, utilization)
             - 1.0
         )
+
+
+def binomial_quantile(p: float, n: int, q: float) -> int:
+    """Smallest ``k`` with ``P(Binomial(n, q) <= k) >= p``.
+
+    Walks the CDF term by term.  The float sum cannot resolve a ``p``
+    within rounding distance of 1; the model asks for p50/p95/p99.
+    """
+    cdf = 0.0
+    for k in range(n + 1):
+        cdf += math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
+        if cdf >= p:
+            return k
+    return n
 
 
 def latency_report(

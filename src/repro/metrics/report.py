@@ -1,6 +1,6 @@
 """Plain-text table and series rendering for experiment output.
 
-Every benchmark prints "the same rows the paper reports"; these helpers
+Every experiment prints "the same rows the paper reports"; these helpers
 give those printouts one consistent, dependency-free format.
 """
 

@@ -643,10 +643,7 @@ class PlacementService:
             )
         if state.engine is None:
             policy = ThermostatPolicy(
-                ThermostatConfig(
-                    tolerable_slowdown=self.config.tolerable_slowdown,
-                    scan_interval=self.config.epoch_seconds,
-                )
+                ThermostatConfig(tolerable_slowdown=self.config.tolerable_slowdown)
             )
             # The tenant may grow after this first decide and the engine
             # never resizes its tiers, so size both for the largest

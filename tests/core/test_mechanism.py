@@ -16,11 +16,10 @@ def make_setup(num_pages: int = 16, budget_latency: float = 1e-3):
     space = AddressSpace(topology=NumaTopology.small(), use_llc=False)
     space.mmap(0, num_pages * HUGE_PAGE_SIZE)
     config = ThermostatConfig(
-        scan_interval=1.0,
         sample_fraction=0.25,
         slow_memory_latency=budget_latency,
     )
-    return space, MechanismThermostat(space, config, rng), rng
+    return space, MechanismThermostat(space, config, rng, scan_interval=1.0), rng
 
 
 def drive(space, rng, hot_pages, hot_accesses=1500, cold_accesses=15, num_pages=16):

@@ -69,10 +69,9 @@ class TestMechanismIntegration:
         space.mmap(0, 16 * HUGE_PAGE_SIZE)
         thermostat = MechanismThermostat(
             space,
-            ThermostatConfig(
-                scan_interval=1.0, sample_fraction=0.25, slow_memory_latency=1e-3
-            ),
+            ThermostatConfig(sample_fraction=0.25, slow_memory_latency=1e-3),
             rng,
+            scan_interval=1.0,
         )
         for _ in range(8):
             for _ in range(500):

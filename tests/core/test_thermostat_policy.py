@@ -13,23 +13,57 @@ from repro.workloads.base import RateModelWorkload
 
 def two_band_workload(
     num_huge: int = 64, cold_fraction: float = 0.5, cold_rate: float = 1.0,
-    hot_rate: float = 5000.0,
+    hot_rate: float = 5000.0, name: str = "two-band",
 ) -> RateModelWorkload:
-    """Half the pages nearly idle, half clearly hot (per-huge-page rates)."""
+    """Half the pages nearly idle, half clearly hot (per-huge-page rates).
+
+    The engine seeds the access stream from ``name``, so a renamed
+    workload is a re-seeded run.
+    """
     num_cold = int(cold_fraction * num_huge)
     per_page = np.concatenate(
         [np.full(num_cold, cold_rate), np.full(num_huge - num_cold, hot_rate)]
     )
     rates = np.repeat(per_page / SUBPAGES_PER_HUGE_PAGE, SUBPAGES_PER_HUGE_PAGE)
-    return RateModelWorkload("two-band", rates)
+    return RateModelWorkload(name, rates)
 
 
-def run_policy(workload, config=None, duration=1200.0, seed=5, stochastic=True):
+def half_cold_workload() -> RateModelWorkload:
+    """The sampling and scan-period ablations' 128-page two-band workload."""
+    return two_band_workload(num_huge=128, name="half-cold")
+
+
+def sparse_hot_workload() -> RateModelWorkload:
+    """Heat hidden in a few 4KB subpages: the Figure 2 pattern.
+
+    Half of 128 huge pages each hold 5 busy subpages (30 acc/s each) in an
+    otherwise idle 2MB region; the other half are idle.  This is the
+    adversarial case for naive random-K monitoring.
+    """
+    rng = np.random.default_rng(1)
+    rates = np.zeros(128 * SUBPAGES_PER_HUGE_PAGE)
+    for page in range(64):
+        offsets = rng.choice(SUBPAGES_PER_HUGE_PAGE, size=5, replace=False)
+        rates[page * SUBPAGES_PER_HUGE_PAGE + offsets] = 30.0
+    return RateModelWorkload("sparse-hot", rates)
+
+
+def run_policy(
+    workload, config=None, duration=1200.0, seed=5, stochastic=True, epoch=30.0
+):
     return run_simulation(
         workload,
         ThermostatPolicy(config or ThermostatConfig()),
-        SimulationConfig(duration=duration, epoch=30, seed=seed, stochastic=stochastic),
+        SimulationConfig(
+            duration=duration, epoch=epoch, seed=seed, stochastic=stochastic
+        ),
     )
+
+
+def epochs_to_90_percent(cold: np.ndarray) -> int:
+    """First epoch whose cold fraction reaches 90% of the final one."""
+    final = cold[-1]
+    return int(np.argmax(cold >= 0.9 * final)) if final > 0 else 0
 
 
 class TestClassificationQuality:
@@ -111,6 +145,89 @@ class TestCorrection:
         result = run_policy(phase, config, duration=1500)
         late = result.series("slowdown").values[-5:]
         assert np.mean(late) > 0.04  # mis-placed pages never rescued
+        assert result.stats.counter("correction_bytes").value == 0
+
+
+class TestPrefilterAblation:
+    def test_naive_random_k_demotes_hidden_heat(self):
+        """Section 3.2: without narrowing to accessed subpages first, a
+        random 50-of-512 sample misses sparse hot spots, under-estimates
+        the page and demotes hot data."""
+        # Budget of 1000 acc/s: the idle half fits, the sparse-hot half
+        # (150 acc/s per page) does not.
+        kw = dict(tolerable_slowdown=0.001, slow_memory_latency=1e-6)
+        with_prefilter = run_policy(
+            sparse_hot_workload(), ThermostatConfig(**kw), seed=1
+        )
+        naive = run_policy(
+            sparse_hot_workload(),
+            ThermostatConfig(**kw, enable_accessed_prefilter=False),
+            seed=1,
+        )
+        ratio = naive.average_slowdown / max(with_prefilter.average_slowdown, 1e-6)
+        assert ratio > 1.5
+        # The prefilter configuration stays near its (0.1%) target.
+        assert with_prefilter.average_slowdown < 0.004
+
+
+class TestSamplingFractionAblation:
+    def test_five_percent_is_the_knee(self):
+        """Larger samples converge faster but poison more memory at once;
+        the paper picked 5%."""
+        runs = {
+            fraction: run_policy(
+                half_cold_workload(),
+                ThermostatConfig(sample_fraction=fraction),
+                duration=1800,
+                seed=1,
+            )
+            for fraction in (0.01, 0.05, 0.20)
+        }
+        cold = {f: r.series("cold_fraction").values for f, r in runs.items()}
+        # Bigger samples converge no slower.
+        assert epochs_to_90_percent(cold[0.20]) <= epochs_to_90_percent(cold[0.01])
+        # Coverage grows with the fraction: at 1% the policy has not
+        # finished discovering the cold band within the run.
+        finals = [values[-1] for values in cold.values()]
+        assert finals == sorted(finals)
+        assert cold[0.05][-1] > 0.4
+        # Overhead grows with the fraction but stays within the paper's
+        # <1% envelope even at 20%.
+        overheads = [
+            np.mean(r.series("overhead_seconds").values) / 30.0
+            for r in runs.values()
+        ]
+        assert overheads == sorted(overheads)
+        assert all(o < 0.01 for o in overheads)
+
+
+class TestScanPeriodAblation:
+    def test_ten_seconds_or_more_is_negligible(self):
+        """Section 4.4: "For sampling periods of 10s or higher, we observe
+        negligible CPU activity from Thermostat and no measurable
+        application slowdown."  The scan period is the engine epoch."""
+        finals, reach, overheads = {}, {}, {}
+        for period in (10.0, 30.0, 60.0):
+            result = run_policy(
+                half_cold_workload(), duration=1800, seed=1, epoch=period
+            )
+            series = result.series("cold_fraction")
+            finals[period] = series.values[-1]
+            reached = series.values >= 0.9 * finals[period]
+            reach[period] = (
+                series.times[int(np.argmax(reached))]
+                if finals[period] > 0 and reached.any()
+                else float("inf")
+            )
+            overheads[period] = (
+                np.mean(result.series("overhead_seconds").values) / period
+            )
+        # Every period reaches the same steady state...
+        assert max(finals.values()) - min(finals.values()) < 0.05
+        # ...faster scanning converges sooner...
+        assert reach[10.0] <= reach[60.0]
+        # ...and overhead stays negligible (<1%) at every period >= 10s.
+        assert all(o < 0.01 for o in overheads.values())
 
 
 class TestMonitoringOverhead:

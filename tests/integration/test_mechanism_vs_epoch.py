@@ -24,7 +24,6 @@ HOT_RATE = 1200.0  # accesses/sec per hot huge page
 COLD_RATE = 1.0
 #: Budget of 30 acc/s: cold band (13 pages ~ 13/s) fits, hot pages do not.
 CONFIG_KW = dict(
-    scan_interval=1.0,
     sample_fraction=0.25,
     slow_memory_latency=1e-3,
 )
@@ -53,7 +52,7 @@ def run_mechanism_engine() -> set[int]:
     space = AddressSpace(topology=NumaTopology.small(), use_llc=False)
     space.mmap(0, NUM_PAGES * HUGE_PAGE_SIZE)
     thermostat = MechanismThermostat(
-        space, ThermostatConfig(**CONFIG_KW), rng
+        space, ThermostatConfig(**CONFIG_KW), rng, scan_interval=1.0
     )
     rates = per_page_rates()
     probabilities = rates / rates.sum()

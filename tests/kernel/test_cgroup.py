@@ -11,7 +11,7 @@ class TestReadWrite:
     def test_defaults_readable(self):
         group = MemoryCgroup("test")
         assert group.read("thermostat.tolerable_slowdown") == "0.03"
-        assert group.read("scan_interval") == "30"
+        assert group.read("sample_fraction") == "0.05"
 
     def test_write_by_cgroup_name(self):
         group = MemoryCgroup("test")
@@ -29,9 +29,9 @@ class TestReadWrite:
         assert group.config.max_poisoned_subpages == 25
 
     def test_knob_type_comes_from_the_field(self):
-        group = MemoryCgroup("test", ThermostatConfig(scan_interval=10))
-        group.write("scan_interval", "12.5")
-        assert group.config.scan_interval == pytest.approx(12.5)
+        group = MemoryCgroup("test", ThermostatConfig(sample_fraction=1))
+        group.write("sample_fraction", "0.5")
+        assert group.config.sample_fraction == pytest.approx(0.5)
 
     def test_bool_knob_strings(self):
         group = MemoryCgroup("test")
@@ -49,6 +49,9 @@ class TestReadWrite:
             MemoryCgroup("test").write("nonsense", 1)
         with pytest.raises(ConfigError):
             MemoryCgroup("test").read("nonsense")
+        # The scan interval is the engine epoch, not a policy knob.
+        with pytest.raises(ConfigError):
+            MemoryCgroup("test").write("thermostat.scan_interval", "10")
 
     @pytest.mark.parametrize(
         ("knob", "value"),
@@ -56,8 +59,8 @@ class TestReadWrite:
             ("tolerable_slowdown", "2.0"),
             ("slow_memory_latency", "nan"),
             ("slow_memory_latency", "inf"),
-            ("scan_interval", "nan"),
-            ("scan_interval", "inf"),
+            ("sample_fraction", "nan"),
+            ("sample_fraction", "inf"),
             ("max_poisoned_subpages", "2.5"),
             ("max_poisoned_subpages", 2.7),
             ("sample_fraction", "abc"),
@@ -75,14 +78,14 @@ class TestReadWrite:
     def test_generation_bumps_on_write(self):
         group = MemoryCgroup("test")
         assert group.generation == 0
-        group.write("scan_interval", 10)
+        group.write("sample_fraction", 0.1)
         assert group.generation == 1
 
     def test_snapshot_is_immutable(self):
         group = MemoryCgroup("test")
         snapshot = group.config
-        group.write("scan_interval", 10)
-        assert snapshot.scan_interval == pytest.approx(30.0)
+        group.write("sample_fraction", 0.1)
+        assert snapshot.sample_fraction == pytest.approx(0.05)
 
     def test_custom_initial_config(self):
         group = MemoryCgroup("g", ThermostatConfig(tolerable_slowdown=0.1))
@@ -95,4 +98,4 @@ class TestReadWrite:
     def test_knobs_lists_everything(self):
         knobs = MemoryCgroup("test").knobs()
         assert "thermostat.tolerable_slowdown" in knobs
-        assert len(knobs) == 7
+        assert len(knobs) == 6

@@ -28,7 +28,7 @@ def make_engine(**config_kwargs) -> EpochSimulation:
     defaults.update(config_kwargs)
     return EpochSimulation(
         make_workload(),
-        ThermostatPolicy(ThermostatConfig(scan_interval=30.0)),
+        ThermostatPolicy(ThermostatConfig()),
         SimulationConfig(**defaults),
     )
 

@@ -11,7 +11,6 @@ class TestThermostatConfig:
         cfg = ThermostatConfig()
         assert cfg.tolerable_slowdown == pytest.approx(0.03)
         assert cfg.slow_memory_latency == pytest.approx(1e-6)
-        assert cfg.scan_interval == pytest.approx(30.0)
         assert cfg.sample_fraction == pytest.approx(0.05)
         assert cfg.max_poisoned_subpages == 50
 
