@@ -3,9 +3,9 @@
 This package reimplements, as a trace/epoch-driven simulation, the system
 described in *Thermostat: Application-transparent Page Management for
 Two-tiered Main Memory* (Agarwal & Wenisch, ASPLOS 2017), together with
-every substrate it depends on (page tables, TLBs, BadgerTrap, THP,
-kstaled, NUMA migration, nested paging) and the workload models used by
-its evaluation.
+every substrate it depends on (page tables, TLBs, BadgerTrap, THP, NUMA
+migration, nested paging) and the workload models used by its
+evaluation.
 
 Quick start::
 

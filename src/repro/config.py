@@ -184,41 +184,31 @@ class FaultConfig:
         )
 
 
+#: Parent-side slack beyond the scaled worker budget, seconds
+#: (:attr:`SupervisorConfig.parent_timeout`).
+PARENT_GRACE_SECONDS = 10.0
+
+
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Knobs for supervised batch execution (:mod:`repro.experiments.supervisor`).
 
     The defaults describe a forgiving production posture: three attempts
-    per task, short exponential backoff with seeded jitter, no wall-clock
-    limit unless one is given.  Every field only affects *scheduling*;
-    simulation outputs are a function of the :class:`RunSpec` alone, so a
-    supervised batch is bit-identical to an unsupervised one.
+    per task, no wall-clock limit unless one is given.  Every field only
+    affects *scheduling*; simulation outputs are a function of the
+    :class:`RunSpec` alone, so a supervised batch is bit-identical to an
+    unsupervised one.
     """
 
     #: Per-task wall-clock budget in real seconds (None = unlimited).  The
     #: worker arms SIGALRM for this budget; the parent additionally
-    #: enforces ``timeout * 1.5 + grace`` as a backstop for workers hung
-    #: too hard to take the signal.
+    #: enforces :attr:`parent_timeout` as a backstop for workers hung too
+    #: hard to take the signal.
     timeout: float | None = None
     #: Total attempts per task before it is quarantined (1 = no retries).
     max_attempts: int = 3
-    #: Backoff after the first failed attempt, seconds; doubles per
-    #: further failure.
-    backoff_seconds: float = 0.25
-    #: Upper bound of the multiplicative jitter drawn per (task, attempt)
-    #: from a seeded stream: the delay is scaled by ``1 + U[0, jitter)``.
-    backoff_jitter: float = 0.5
     #: Seed for the backoff jitter streams (deterministic schedules).
     seed: int = 0
-    #: Re-run retried tasks with epoch-boundary invariant auditing, so a
-    #: retry that only "succeeds" by corrupting engine state is
-    #: quarantined rather than cached.
-    audit_retries: bool = True
-    #: Arm SIGALRM inside workers (the clean half of the timeout hybrid).
-    #: Disable to exercise the parent-side backstop alone.
-    worker_alarm: bool = True
-    #: Parent-side slack beyond the scaled worker budget, seconds.
-    grace: float = 10.0
     #: Where to write the machine-readable quarantine report
     #: (``quarantine.json``); None skips writing.
     quarantine_path: str | None = None
@@ -228,23 +218,13 @@ class SupervisorConfig:
             raise ConfigError(f"timeout must be positive: {self.timeout}")
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.backoff_seconds < 0:
-            raise ConfigError(
-                f"backoff_seconds must be >= 0: {self.backoff_seconds}"
-            )
-        if self.backoff_jitter < 0:
-            raise ConfigError(
-                f"backoff_jitter must be >= 0: {self.backoff_jitter}"
-            )
-        if self.grace < 0:
-            raise ConfigError(f"grace must be >= 0: {self.grace}")
 
     @property
     def parent_timeout(self) -> float | None:
         """The parent-side hang deadline for one attempt (None = never)."""
         if self.timeout is None:
             return None
-        return self.timeout * 1.5 + self.grace
+        return self.timeout * 1.5 + PARENT_GRACE_SECONDS
 
 
 @dataclass(frozen=True)

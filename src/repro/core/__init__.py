@@ -17,7 +17,7 @@ pages) — and orchestrated by two drivers:
 from repro.core.classifier import ClassificationResult, select_cold_pages
 from repro.core.correction import select_promotions
 from repro.core.estimator import estimate_huge_page_rates
-from repro.core.sampling import choose_poison_subpages, choose_sampled_pages
+from repro.core.sampling import choose_poison_subpages
 from repro.core.thermostat import ThermostatPolicy
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "select_promotions",
     "estimate_huge_page_rates",
     "choose_poison_subpages",
-    "choose_sampled_pages",
     "ThermostatPolicy",
 ]

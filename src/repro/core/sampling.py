@@ -24,37 +24,6 @@ import numpy as np
 from repro.errors import ConfigError
 
 
-def choose_sampled_pages(
-    num_huge_pages: int,
-    sample_fraction: float,
-    rng: np.random.Generator,
-    exclude: np.ndarray | None = None,
-) -> np.ndarray:
-    """Pick the huge pages to split this interval.
-
-    Returns a sorted array of huge-page indices.  Sampling is uniform and
-    *agnostic of page temperature* (the paper's phrase), which is why at
-    steady state roughly ``sample_fraction`` of the cold footprint is
-    transiently 4KB-mapped in Figures 5-10.  Indices listed in ``exclude``
-    (e.g. not-yet-faulted-in regions) are never chosen.
-    """
-    if num_huge_pages < 0:
-        raise ConfigError(f"negative page count: {num_huge_pages}")
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ConfigError(f"sample_fraction must be in (0, 1]: {sample_fraction}")
-    candidates = np.arange(num_huge_pages)
-    if exclude is not None and len(exclude):
-        mask = np.ones(num_huge_pages, dtype=bool)
-        mask[exclude] = False
-        candidates = candidates[mask]
-    if len(candidates) == 0:
-        return np.empty(0, dtype=np.int64)
-    count = max(1, int(round(sample_fraction * len(candidates))))
-    count = min(count, len(candidates))
-    chosen = rng.choice(candidates, size=count, replace=False)
-    return np.sort(chosen.astype(np.int64))
-
-
 def choose_poison_subpages(
     accessed_mask: np.ndarray,
     max_poisoned: int,

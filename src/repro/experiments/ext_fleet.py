@@ -27,10 +27,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.experiments.common import DEFAULT_SEED
 from repro.fleet import (
-    SCENARIOS,
     FleetConfig,
     FleetSimulation,
     TenantSpec,
@@ -61,38 +60,6 @@ TENANT_WORKLOADS = (
     "aerospike",
 )
 
-#: Runner-injected overrides (``--tenants/--chaos/--slo/--output-dir``).
-_settings: dict = {
-    "tenants": None,
-    "chaos": None,
-    "slo": None,
-    "scorecard_dir": None,
-}
-
-
-def configure(
-    tenants: int | None = None,
-    chaos: tuple[str, ...] | None = None,
-    slo: float | None = None,
-    scorecard_dir: str | None = None,
-) -> None:
-    """Install CLI overrides (the runner calls this before dispatch)."""
-    if chaos is not None:
-        unknown = [name for name in chaos if name not in SCENARIOS]
-        if unknown:
-            raise ConfigError(
-                f"unknown chaos scenarios: {', '.join(unknown)} "
-                f"(choose from {', '.join(sorted(SCENARIOS))})"
-            )
-    if tenants is not None and tenants < 1:
-        raise ConfigError(f"--tenants must be >= 1 (got {tenants})")
-    if slo is not None and not 0.0 < slo < 1.0:
-        raise ConfigError(f"--slo must be in (0, 1) (got {slo})")
-    _settings["tenants"] = tenants
-    _settings["chaos"] = tuple(chaos) if chaos is not None else None
-    _settings["slo"] = slo
-    _settings["scorecard_dir"] = scorecard_dir
-
 
 def build_fleet(
     scenario: str,
@@ -116,9 +83,7 @@ def build_fleet(
     extra, events = scenario_schedule(
         scenario, [s.name for s in specs], DURATION, scale
     )
-    config = FleetConfig(
-        duration=DURATION, epoch=EPOCH, seed=seed, stochastic=True
-    )
+    config = FleetConfig(duration=DURATION, epoch=EPOCH, seed=seed)
     return FleetSimulation(
         specs + list(extra), events, config, observer=observer
     )
@@ -191,11 +156,16 @@ def run(
     tenants: int | None = None,
     slo: float | None = None,
     jobs: int = 1,
+    scorecard_dir: str | None = None,
 ) -> list[dict]:
-    """Run every requested scenario; each must pass its resilience gate."""
-    scenarios = chaos or _settings["chaos"] or DEFAULT_CHAOS
-    tenants = tenants or _settings["tenants"] or DEFAULT_TENANTS
-    slo = slo or _settings["slo"] or DEFAULT_SLO
+    """Run every requested scenario; each must pass its resilience gate.
+
+    With ``scorecard_dir`` each scenario's scorecard is also written there
+    as ``fleet_scorecard_<scenario>.json``.
+    """
+    scenarios = chaos or DEFAULT_CHAOS
+    tenants = tenants or DEFAULT_TENANTS
+    slo = slo or DEFAULT_SLO
     work = [(name, scale, seed, tenants, slo) for name in scenarios]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
@@ -204,7 +174,6 @@ def run(
         rows = [_run_scenario(args) for args in work]
     for row in rows:
         _check_resilience(row["scenario"], row["scorecard"])
-    scorecard_dir = _settings["scorecard_dir"]
     if scorecard_dir is not None:
         out = Path(scorecard_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.experiments import common
 from repro.experiments.common import DEFAULT_SEED
-from repro.faults.service import ServiceFaultConfig
 from repro.metrics.report import format_table
 from repro.obs import Observer, write_run_artifacts
 from repro.obs.live import FlightRecorder
@@ -49,29 +48,6 @@ from repro.service.traffic import TrafficConfig, drive
 DEFAULT_DECISIONS = 150
 #: Tenants sending interleaved traffic.
 DEFAULT_SERVICE_TENANTS = 3
-
-#: The pinned chaos mix (mirrors ``python -m repro.service synth --chaos``).
-CHAOS_FAULTS = ServiceFaultConfig(
-    enabled=True,
-    slow_consumer_rate=0.05,
-    slow_consumer_stall_seconds=0.08,
-    slow_consumer_duration_ticks=4,
-    corrupt_event_rate=0.02,
-    clock_stall_rate=0.01,
-    clock_stall_seconds=0.5,
-)
-
-#: Runner-injected overrides (``--service-decisions``).
-_settings: dict = {"decisions": None}
-
-
-def configure(decisions: int | None = None) -> None:
-    """Install CLI overrides (the runner calls this before dispatch)."""
-    if decisions is not None and decisions < 1:
-        raise ConfigError(
-            f"--service-decisions must be >= 1 (got {decisions})"
-        )
-    _settings["decisions"] = decisions
 
 
 def _posture_observer(name: str) -> Observer | None:
@@ -100,9 +76,7 @@ def _write_posture_artifacts(
     observer.recorder.spill()
 
 
-def _run_posture(
-    name: str, seed: int, decisions: int, faults: ServiceFaultConfig
-) -> dict:
+def _run_posture(name: str, seed: int, decisions: int, chaos: bool) -> dict:
     observer = _posture_observer(name)
     service = PlacementService(config=ServiceConfig(seed=seed), observer=observer)
     responses: list = []
@@ -112,7 +86,7 @@ def _run_posture(
             seed=seed,
             tenants=DEFAULT_SERVICE_TENANTS,
             decisions=decisions,
-            faults=faults,
+            chaos=chaos,
         ),
         emit=responses.append,
     )
@@ -175,10 +149,10 @@ def run(
 ) -> list[dict]:
     """Run both postures; each must pass its robustness gate."""
     del scale  # traffic volume is set by --service-decisions, not --scale
-    decisions = decisions or _settings["decisions"] or DEFAULT_DECISIONS
+    decisions = decisions or DEFAULT_DECISIONS
     rows = [
-        _run_posture("clean", seed, decisions, ServiceFaultConfig()),
-        _run_posture("chaos", seed, decisions, CHAOS_FAULTS),
+        _run_posture("clean", seed, decisions, chaos=False),
+        _run_posture("chaos", seed, decisions, chaos=True),
     ]
     for row in rows:
         _check_robustness(row)

@@ -6,7 +6,7 @@ rates.  This module gives that shape first-class support:
 
 * :class:`RunSpec` — a frozen, picklable description of one run
   (workload, policy, every :class:`~repro.config.SimulationConfig` knob
-  that affects the outcome).  Its :meth:`~RunSpec.cache_key` is a stable
+  a suite run sets; epoch counts are always Poisson draws).  Its :meth:`~RunSpec.cache_key` is a stable
   content hash, so identical runs are identical keys across processes
   and across sessions.
 * :class:`ResultStore` — a content-addressed store of completed runs.
@@ -34,6 +34,7 @@ import copy
 import hashlib
 import json
 import os
+import signal
 import time
 import warnings
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
@@ -76,7 +77,6 @@ class RunSpec:
     duration: float = 1200.0
     epoch: float = 30.0
     seed: int | None = 1
-    stochastic: bool = True
     faults: FaultConfig = field(default_factory=FaultConfig)
     #: Run with epoch-boundary invariant auditing.  Purely observational
     #: (an audited run either produces the identical result or raises
@@ -97,7 +97,6 @@ class RunSpec:
             duration=self.duration,
             epoch=self.epoch,
             seed=self.seed,
-            stochastic=self.stochastic,
             faults=self.faults,
         )
 
@@ -119,7 +118,6 @@ class RunSpec:
             "duration": self.duration,
             "epoch": self.epoch,
             "seed": self.seed,
-            "stochastic": self.stochastic,
             "faults": asdict(self.faults),
         }
         canonical = json.dumps(material, sort_keys=True, default=repr)
@@ -154,20 +152,22 @@ def build_policy(name: str, tolerable_slowdown: float = 0.03):
 #: directives ``<workload>:<kind>[:<arg>][@<marker>]``.  Kinds: ``exit``
 #: (``os._exit``, a hard worker crash), ``raise`` (``RuntimeError``),
 #: ``interrupt`` (``KeyboardInterrupt``), ``hang:<seconds>``
-#: (``time.sleep``), ``assert-audit`` (raise unless the spec is audited),
-#: and ``corrupt`` (deliberately corrupt one engine step so only an
-#: invariant audit can catch it).  With an ``@<marker>`` path the
-#: directive fires once — it creates the marker file first, so a retry in
-#: a fresh process sees it and proceeds cleanly.
+#: (``time.sleep``), ``hard-hang:<seconds>`` (``time.sleep`` with SIGALRM
+#: blocked, a hang the worker's own alarm cannot cut short),
+#: ``assert-audit`` (raise unless the spec is audited), and ``corrupt``
+#: (deliberately corrupt one engine step so only an invariant audit can
+#: catch it).  With an ``@<marker>`` path the directive fires once — it
+#: creates the marker file first, so a retry in a fresh process sees it
+#: and proceeds cleanly.
 TEST_FAULT_ENV = "REPRO_TEST_FAULT"
 
 
 def _apply_test_faults(spec: RunSpec) -> set[str]:
     """Fire matching :data:`TEST_FAULT_ENV` directives; return passive ones.
 
-    Active kinds (exit/raise/interrupt/hang/assert-audit) take effect
-    here; the ``corrupt`` kind is returned for :func:`execute_spec` to
-    install as an engine hook.
+    Active kinds (exit/raise/interrupt/hang/hard-hang/assert-audit) take
+    effect here; the ``corrupt`` kind is returned for :func:`execute_spec`
+    to install as an engine hook.
     """
     raw = os.environ.get(TEST_FAULT_ENV)
     residual: set[str] = set()
@@ -194,6 +194,9 @@ def _apply_test_faults(spec: RunSpec) -> set[str]:
         elif kind == "interrupt":
             raise KeyboardInterrupt
         elif kind == "hang":
+            time.sleep(float(arg or 3600.0))
+        elif kind == "hard-hang":
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
             time.sleep(float(arg or 3600.0))
         elif kind == "assert-audit":
             if not spec.audit:

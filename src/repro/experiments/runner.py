@@ -53,6 +53,7 @@ from repro.experiments import (
     table3_migration,
     table4_cost,
 )
+from repro.fleet import SCENARIOS
 from repro.ioutil import atomic_write_text
 
 
@@ -64,8 +65,10 @@ def _fig5to10(scale: float, seed: int, jobs: int) -> str:
 
 
 #: Experiment name -> callable(scale, seed, jobs) -> report text.  Single-run
-#: experiments (fig1/fig2/fig4, tables 1-2, ext-counting) ignore ``jobs``.
-EXPERIMENTS: dict[str, Callable[[float, int, int], str]] = {
+#: experiments (fig1/fig2/fig4, tables 1-2, ext-counting) ignore ``jobs``;
+#: ext-fleet and ext-service also take their flags as keywords
+#: (:func:`_extension_flags`).
+EXPERIMENTS: dict[str, Callable[..., str]] = {
     "fig1": lambda scale, seed, jobs: fig1_idle_fraction.render(
         fig1_idle_fraction.run(scale, seed)
     ),
@@ -112,13 +115,49 @@ EXPERIMENTS: dict[str, Callable[[float, int, int], str]] = {
     "ext-thp": lambda scale, seed, jobs: ext_thp_tradeoff.render(
         ext_thp_tradeoff.run(scale, seed, jobs=jobs)
     ),
-    "ext-fleet": lambda scale, seed, jobs: ext_fleet.render(
-        ext_fleet.run(scale, seed, jobs=jobs)
+    "ext-fleet": lambda scale, seed, jobs, **flags: ext_fleet.render(
+        ext_fleet.run(scale, seed, jobs=jobs, **flags)
     ),
-    "ext-service": lambda scale, seed, jobs: ext_service.render(
-        ext_service.run(scale, seed)
+    "ext-service": lambda scale, seed, jobs, **flags: ext_service.render(
+        ext_service.run(scale, seed, **flags)
     ),
 }
+
+
+def _extension_flags(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> dict[str, dict]:
+    """Validate the extension-only flags; keyword arguments per experiment."""
+    chaos = None
+    if args.chaos is not None:
+        chaos = tuple(
+            name.strip() for name in args.chaos.split(",") if name.strip()
+        )
+        if not chaos:
+            parser.error("--chaos must name at least one scenario")
+        unknown = [name for name in chaos if name not in SCENARIOS]
+        if unknown:
+            parser.error(
+                f"unknown chaos scenarios: {', '.join(unknown)} "
+                f"(choose from {', '.join(sorted(SCENARIOS))})"
+            )
+    if args.tenants is not None and args.tenants < 1:
+        parser.error(f"--tenants must be >= 1 (got {args.tenants})")
+    if args.slo is not None and not 0.0 < args.slo < 1.0:
+        parser.error(f"--slo must be in (0, 1) (got {args.slo})")
+    if args.service_decisions is not None and args.service_decisions < 1:
+        parser.error(
+            f"--service-decisions must be >= 1 (got {args.service_decisions})"
+        )
+    return {
+        "ext-fleet": {
+            "chaos": chaos,
+            "tenants": args.tenants,
+            "slo": args.slo,
+            "scorecard_dir": args.output_dir,
+        },
+        "ext-service": {"decisions": args.service_decisions},
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -279,23 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         common.configure_supervisor(None)
     common.configure_audit(args.audit)
 
-    chaos = None
-    if args.chaos is not None:
-        chaos = tuple(
-            name.strip() for name in args.chaos.split(",") if name.strip()
-        )
-        if not chaos:
-            parser.error("--chaos must name at least one scenario")
-    try:
-        ext_fleet.configure(
-            tenants=args.tenants,
-            chaos=chaos,
-            slo=args.slo,
-            scorecard_dir=args.output_dir,
-        )
-        ext_service.configure(decisions=args.service_decisions)
-    except Exception as exc:  # ConfigError -> argparse-style message
-        parser.error(str(exc))
+    flags = _extension_flags(args, parser)
 
     observing = args.trace or args.metrics or args.self_profile
     if observing:
@@ -332,7 +355,9 @@ def main(argv: list[str] | None = None) -> int:
     for name in requested:
         started = time.perf_counter()
         try:
-            report = EXPERIMENTS[name](args.scale, args.seed, args.jobs)
+            report = EXPERIMENTS[name](
+                args.scale, args.seed, args.jobs, **flags.get(name, {})
+            )
         except Exception as exc:  # one bad figure must not sink the rest
             elapsed = time.perf_counter() - started
             message = str(exc).splitlines()[0] if str(exc) else ""

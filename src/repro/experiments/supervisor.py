@@ -6,13 +6,14 @@ uses, built for campaigns that must survive the real world:
 
 * **Per-task wall-clock timeouts** — a SIGALRM armed inside the worker
   (clean, per-task, raises :class:`~repro.errors.TaskTimeoutError`) plus
-  a parent-side deadline of ``timeout * 1.5 + grace`` as a backstop for
-  workers hung too hard to take the signal, in which case the pool is
+  a parent-side deadline
+  (:attr:`~repro.config.SupervisorConfig.parent_timeout`) as a backstop
+  for workers hung too hard to take the signal, in which case the pool is
   killed and rebuilt.
 * **Retries with seeded exponential backoff** — a failed attempt waits
-  ``backoff * 2**(attempt-1) * (1 + U[0, jitter))`` with the jitter drawn
-  from a stream seeded per (task, attempt), so retry schedules are
-  reproducible.
+  :data:`BACKOFF_SECONDS` doubled per further failure, scaled by a
+  jitter of up to :data:`BACKOFF_JITTER` drawn from a stream seeded per
+  (task, attempt), so retry schedules are reproducible.
 * **Pool rebuild on crash** — a worker dying (OOM kill, segfault,
   ``os._exit``) breaks a ``ProcessPoolExecutor`` permanently; instead of
   aborting the sweep, the supervisor charges a failed attempt to the
@@ -72,6 +73,13 @@ from repro.sim.engine import SimulationResult
 
 #: Version stamp of the quarantine.json layout.
 QUARANTINE_VERSION = 1
+
+#: Backoff after the first failed attempt, seconds; doubles per further
+#: failure.
+BACKOFF_SECONDS = 0.25
+#: Upper bound of the multiplicative jitter drawn per (task, attempt)
+#: from a seeded stream: the delay is scaled by ``1 + U[0, jitter)``.
+BACKOFF_JITTER = 0.5
 
 #: Idle tick of the scheduler loop, seconds: how often the parent wakes
 #: to check deadlines and backoff eligibility when nothing has completed.
@@ -319,8 +327,8 @@ def run_supervised(
             return
         jitter = child_rng(
             jitter_root, f"backoff:{task.key}:{task.attempts}"
-        ).uniform(0.0, config.backoff_jitter)
-        delay = retry_delay(config.backoff_seconds, task.attempts, jitter)
+        ).uniform(0.0, BACKOFF_JITTER)
+        delay = retry_delay(BACKOFF_SECONDS, task.attempts, jitter)
         task.eligible = time.monotonic() + delay
         if obs.active:
             obs.emit(
@@ -345,10 +353,8 @@ def run_supervised(
         spec = task.spec
         if task.attempts > 0:
             retried.add(task.key)
-            if config.audit_retries:
-                spec = replace(spec, audit=True)
-        timeout = config.timeout if config.worker_alarm else None
-        future = pool.submit(_supervised_worker, spec, timeout)
+            spec = replace(spec, audit=True)
+        future = pool.submit(_supervised_worker, spec, config.timeout)
         in_flight[future] = task.key
         submitted[future] = _elapsed()
         parent = config.parent_timeout

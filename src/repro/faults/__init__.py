@@ -19,7 +19,7 @@ from repro.faults.models import (
     SlowConsumerFaultModel,
     WearFaultModel,
 )
-from repro.faults.service import ServiceFaultConfig, ServiceFaultInjector
+from repro.faults.service import ServiceFaultInjector
 
 __all__ = [
     "EpochFaultEvents",
@@ -33,6 +33,5 @@ __all__ = [
     "SlowConsumerFaultModel",
     "CorruptEventFaultModel",
     "ClockStallFaultModel",
-    "ServiceFaultConfig",
     "ServiceFaultInjector",
 ]

@@ -11,17 +11,14 @@ consumer stalls, and a seeded soak replays its fault schedule
 bit-identically.
 
 The injector is consulted by the synthetic traffic driver
-(:mod:`repro.service.traffic`) and the service loop itself; the default
-configuration injects nothing and draws nothing.
+(:mod:`repro.service.traffic`); one built without models injects nothing
+and draws nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.faults.models import (
     ClockStallFaultModel,
     CorruptEventFaultModel,
@@ -30,50 +27,22 @@ from repro.faults.models import (
 from repro.obs import NULL_OBSERVER
 from repro.rng import child_rng
 
+# The pinned chaos mix (:meth:`ServiceFaultInjector.chaos`): what
+# ``python -m repro.service synth --chaos``, ext-service's chaos posture
+# and the chaos soak tests inject.
 
-@dataclass(frozen=True)
-class ServiceFaultConfig:
-    """Service-path fault knobs (all off by default)."""
-
-    enabled: bool = False
-    #: Per-tick probability that the consumer opens a stall window.
-    slow_consumer_rate: float = 0.0
-    #: Extra per-item processing latency while stalled, seconds.
-    slow_consumer_stall_seconds: float = 0.05
-    #: How many consecutive ticks each stall window lasts.
-    slow_consumer_duration_ticks: int = 4
-    #: Per-event probability of in-flight corruption.
-    corrupt_event_rate: float = 0.0
-    #: Per-tick probability that the observed clock freezes.
-    clock_stall_rate: float = 0.0
-    #: Seconds the observed clock stands still per stall.
-    clock_stall_seconds: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("slow_consumer_rate", "corrupt_event_rate", "clock_stall_rate"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1]: {value}")
-        for name in (
-            "slow_consumer_stall_seconds",
-            "clock_stall_seconds",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0: {getattr(self, name)}")
-        if self.slow_consumer_duration_ticks < 1:
-            raise ConfigError(
-                f"slow_consumer_duration_ticks must be >= 1: "
-                f"{self.slow_consumer_duration_ticks}"
-            )
-
-    @property
-    def any_faults_possible(self) -> bool:
-        """True when this configuration can inject at least one fault."""
-        return self.enabled and (
-            self.slow_consumer_rate > 0
-            or self.corrupt_event_rate > 0
-            or self.clock_stall_rate > 0
-        )
+#: Per-tick probability that the consumer opens a stall window.
+SLOW_CONSUMER_RATE = 0.05
+#: Extra per-item processing latency while stalled, seconds.
+SLOW_CONSUMER_STALL_SECONDS = 0.08
+#: How many consecutive ticks each stall window lasts.
+SLOW_CONSUMER_DURATION_TICKS = 4
+#: Per-event probability of in-flight corruption.
+CORRUPT_EVENT_RATE = 0.02
+#: Per-tick probability that the observed clock freezes.
+CLOCK_STALL_RATE = 0.01
+#: Seconds the observed clock stands still per stall.
+CLOCK_STALL_SECONDS = 0.5
 
 
 class ServiceFaultInjector:
@@ -81,13 +50,11 @@ class ServiceFaultInjector:
 
     def __init__(
         self,
-        config: ServiceFaultConfig,
         rng: np.random.Generator,
         slow_consumer: SlowConsumerFaultModel | None = None,
         corrupt_event: CorruptEventFaultModel | None = None,
         clock_stall: ClockStallFaultModel | None = None,
     ) -> None:
-        self.config = config
         self.slow_consumer = slow_consumer
         self.corrupt_event = corrupt_event
         self.clock_stall = clock_stall
@@ -100,37 +67,17 @@ class ServiceFaultInjector:
                 model.bind(child_rng(rng, f"service-faults:{model.name}"))
 
     @classmethod
-    def from_config(
-        cls, config: ServiceFaultConfig, rng: np.random.Generator
-    ) -> "ServiceFaultInjector":
-        """Build an injector with exactly the models the config activates."""
-        slow_consumer = (
-            SlowConsumerFaultModel(
-                config.slow_consumer_rate,
-                config.slow_consumer_stall_seconds,
-                config.slow_consumer_duration_ticks,
-            )
-            if config.slow_consumer_rate > 0
-            else None
-        )
-        corrupt_event = (
-            CorruptEventFaultModel(config.corrupt_event_rate)
-            if config.corrupt_event_rate > 0
-            else None
-        )
-        clock_stall = (
-            ClockStallFaultModel(
-                config.clock_stall_rate, config.clock_stall_seconds
-            )
-            if config.clock_stall_rate > 0
-            else None
-        )
+    def chaos(cls, rng: np.random.Generator) -> "ServiceFaultInjector":
+        """An injector running the pinned chaos mix, every model on."""
         return cls(
-            config,
             rng,
-            slow_consumer=slow_consumer,
-            corrupt_event=corrupt_event,
-            clock_stall=clock_stall,
+            slow_consumer=SlowConsumerFaultModel(
+                SLOW_CONSUMER_RATE,
+                SLOW_CONSUMER_STALL_SECONDS,
+                SLOW_CONSUMER_DURATION_TICKS,
+            ),
+            corrupt_event=CorruptEventFaultModel(CORRUPT_EVENT_RATE),
+            clock_stall=ClockStallFaultModel(CLOCK_STALL_RATE, CLOCK_STALL_SECONDS),
         )
 
     # ------------------------------------------------------------------

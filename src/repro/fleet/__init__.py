@@ -15,7 +15,7 @@ seed replay bit-identically, and the fleet-level invariant auditor
 ledger every epoch.
 """
 
-from repro.fleet.arbiter import Arbiter, ArbiterConfig
+from repro.fleet.arbiter import Arbiter
 from repro.fleet.chaos import SCENARIOS, ChaosEngine, ChaosEvent, scenario_schedule
 from repro.fleet.invariants import FleetInvariantAuditor
 from repro.fleet.sim import FleetConfig, FleetResult, FleetSimulation
@@ -23,7 +23,6 @@ from repro.fleet.tenant import LadderLevel, Tenant, TenantSpec
 
 __all__ = [
     "Arbiter",
-    "ArbiterConfig",
     "ChaosEngine",
     "ChaosEvent",
     "FleetConfig",

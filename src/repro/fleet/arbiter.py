@@ -16,63 +16,34 @@ that each SLO violation was met with a response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigError
 from repro.fleet.tenant import LadderLevel, Tenant, quantize_down, quantize_up
 from repro.obs import NULL_OBSERVER
 
 
-@dataclass(frozen=True)
-class ArbiterConfig:
-    """Knobs of the rebalancing loop and the degradation ladder."""
-
-    #: Run the arbiter every N fleet epochs.
-    interval_epochs: int = 1
-    #: Consecutive violating epochs before the arbiter responds.
-    violate_epochs: int = 1
-    #: Consecutive clean epochs before de-escalating one ladder rung.
-    recover_epochs: int = 3
-    #: Grant increment offered to a violating tenant, as a fraction of its
-    #: footprint (huge-page quantized).
-    grant_step_fraction: float = 0.25
-    #: Offered-load multiplier applied at the THROTTLED rung.
-    throttle_factor: float = 0.5
-    #: Starved passes (violating, but no bytes to give) before each rung.
-    #: Thresholds are cumulative: throttle at ``throttle_after``, shrink at
-    #: ``throttle_after + shrink_after``, quarantine after all three.
-    throttle_after: int = 4
-    shrink_after: int = 4
-    quarantine_after: int = 4
-    #: Headroom kept above a donor's current usage when reclaiming from it.
-    headroom_fraction: float = 0.10
-
-    def __post_init__(self) -> None:
-        if self.interval_epochs < 1:
-            raise ConfigError("interval_epochs must be >= 1")
-        if self.violate_epochs < 1:
-            raise ConfigError("violate_epochs must be >= 1")
-        if self.recover_epochs < 1:
-            raise ConfigError("recover_epochs must be >= 1")
-        if not 0.0 < self.grant_step_fraction <= 1.0:
-            raise ConfigError("grant_step_fraction must be in (0, 1]")
-        if not 0.0 < self.throttle_factor <= 1.0:
-            raise ConfigError("throttle_factor must be in (0, 1]")
-        if min(self.throttle_after, self.shrink_after, self.quarantine_after) < 1:
-            raise ConfigError("ladder thresholds must be >= 1")
-        if self.headroom_fraction < 0:
-            raise ConfigError("headroom_fraction must be >= 0")
+#: Consecutive violating epochs before the arbiter responds.
+VIOLATE_EPOCHS = 1
+#: Consecutive clean epochs before de-escalating one ladder rung.
+RECOVER_EPOCHS = 3
+#: Grant increment offered to a violating tenant, as a fraction of its
+#: footprint (huge-page quantized).
+GRANT_STEP_FRACTION = 0.25
+#: Offered-load multiplier applied at the THROTTLED rung.
+THROTTLE_FACTOR = 0.5
+#: Starved passes (violating, but no bytes to give) before each rung.
+#: Thresholds are cumulative: throttle at ``THROTTLE_AFTER``, shrink at
+#: ``THROTTLE_AFTER + SHRINK_AFTER``, quarantine after all three.
+THROTTLE_AFTER = 4
+SHRINK_AFTER = 4
+QUARANTINE_AFTER = 4
+#: Headroom kept above a donor's current usage when reclaiming from it.
+HEADROOM_FRACTION = 0.10
 
 
 class Arbiter:
-    """Redistributes the host DRAM budget between tenants each interval."""
+    """Redistributes the host DRAM budget between tenants each epoch."""
 
-    def __init__(
-        self,
-        host_dram_bytes: int,
-        config: ArbiterConfig | None = None,
-        observer=None,
-    ) -> None:
+    def __init__(self, host_dram_bytes: int, observer=None) -> None:
         if host_dram_bytes <= 0:
             raise ConfigError(
                 f"host DRAM budget must be positive: {host_dram_bytes}"
@@ -81,7 +52,6 @@ class Arbiter:
         #: below it and restores it afterwards.
         self.base_host_dram_bytes = quantize_down(host_dram_bytes)
         self.host_dram_bytes = self.base_host_dram_bytes
-        self.config = config or ArbiterConfig()
         self.observer = observer if observer is not None else NULL_OBSERVER
         #: Chronological decision log (dicts; JSON-able).
         self.decisions: list[dict] = []
@@ -245,24 +215,22 @@ class Arbiter:
     def rebalance(self, tenants: list[Tenant], now: float) -> set[str]:
         """One arbiter pass; returns the names of tenants responded to.
 
-        Every tenant whose violation streak has reached ``violate_epochs``
+        Every tenant whose violation streak has reached ``VIOLATE_EPOCHS``
         receives exactly one recorded decision this pass (grant, at-cap,
         starved, or a ladder move) — the scorecard's guarantee that no SLO
         violation goes unanswered.
         """
-        cfg = self.config
         responded: set[str] = set()
         active = [t for t in tenants if t.active]
         for tenant in sorted(active, key=lambda t: t.spec.name):
-            if tenant.violation_streak >= cfg.violate_epochs:
+            if tenant.violation_streak >= VIOLATE_EPOCHS:
                 responded.add(tenant.spec.name)
                 self._respond(tenant, active, now)
-            elif tenant.clean_streak >= cfg.recover_epochs:
+            elif tenant.clean_streak >= RECOVER_EPOCHS:
                 self._deescalate(tenant, now)
         return responded
 
     def _respond(self, tenant: Tenant, active: list[Tenant], now: float) -> None:
-        cfg = self.config
         # A shrunk tenant stays confined to its floor until it de-escalates;
         # re-granting the memory the shrink just freed would reset the ladder.
         cap = (
@@ -286,7 +254,7 @@ class Arbiter:
             self._escalate(tenant, now)
             return
         want = min(
-            quantize_up(cfg.grant_step_fraction * tenant.footprint_bytes), room
+            quantize_up(GRANT_STEP_FRACTION * tenant.footprint_bytes), room
         )
         got = min(want, max(0, quantize_down(self.free_bytes(active))))
         if got < want:
@@ -321,14 +289,13 @@ class Arbiter:
         self, needy: Tenant, active: list[Tenant], want: int, now: float
     ) -> int:
         """Take spare grant from non-violating tenants, largest spare first."""
-        cfg = self.config
         spares: list[tuple[int, Tenant]] = []
         for t in active:
-            if t is needy or t.violation_streak >= cfg.violate_epochs:
+            if t is needy or t.violation_streak >= VIOLATE_EPOCHS:
                 continue
             keep = max(
                 t.floor_bytes,
-                quantize_up(t.fast_usage_bytes * (1.0 + cfg.headroom_fraction)),
+                quantize_up(t.fast_usage_bytes * (1.0 + HEADROOM_FRACTION)),
             )
             spare = t.grant_bytes - keep
             if spare > 0:
@@ -354,21 +321,20 @@ class Arbiter:
     # -- ladder ----------------------------------------------------------
 
     def _escalate(self, tenant: Tenant, now: float) -> None:
-        cfg = self.config
         streak = tenant.starved_streak
-        if tenant.level is LadderLevel.HEALTHY and streak >= cfg.throttle_after:
+        if tenant.level is LadderLevel.HEALTHY and streak >= THROTTLE_AFTER:
             tenant.level = LadderLevel.THROTTLED
-            tenant.throttle_factor = cfg.throttle_factor
+            tenant.throttle_factor = THROTTLE_FACTOR
             self._decide(
                 "ladder_throttle",
                 tenant.spec.name,
                 now,
-                throttle_factor=cfg.throttle_factor,
+                throttle_factor=THROTTLE_FACTOR,
                 starved_streak=streak,
             )
         elif (
             tenant.level is LadderLevel.THROTTLED
-            and streak >= cfg.throttle_after + cfg.shrink_after
+            and streak >= THROTTLE_AFTER + SHRINK_AFTER
         ):
             tenant.level = LadderLevel.SHRUNK
             released = tenant.grant_bytes - tenant.floor_bytes
@@ -383,8 +349,7 @@ class Arbiter:
             )
         elif (
             tenant.level is LadderLevel.SHRUNK
-            and streak
-            >= cfg.throttle_after + cfg.shrink_after + cfg.quarantine_after
+            and streak >= THROTTLE_AFTER + SHRINK_AFTER + QUARANTINE_AFTER
         ):
             self._quarantine(tenant, now, reason="unrecoverable_slo")
 

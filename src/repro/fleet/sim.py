@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.config import FaultConfig
 from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
 from repro.faults.models import MigrationFaultModel
-from repro.fleet.arbiter import Arbiter, ArbiterConfig
+from repro.fleet.arbiter import Arbiter
 from repro.fleet.chaos import ChaosEngine, ChaosEvent
 from repro.fleet.invariants import FleetInvariantAuditor
 from repro.fleet.tenant import LadderLevel, Tenant, TenantSpec, quantize_down
@@ -38,15 +38,9 @@ class FleetConfig:
     duration: float = 1800.0
     epoch: float = 30.0
     seed: int = 1
-    stochastic: bool = True
     #: Host DRAM budget as a fraction of the sum of tenant footprints
     #: (deliberately < 1: a fleet without DRAM pressure needs no arbiter).
     host_dram_fraction: float = 0.6
-    #: Absolute override for the host DRAM budget (bytes).
-    host_dram_bytes: int | None = None
-    arbiter: ArbiterConfig = field(default_factory=ArbiterConfig)
-    #: Run each tenant engine's own invariant auditor too (slower).
-    tenant_audit: bool = False
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -58,10 +52,6 @@ class FleetConfig:
         if not 0.0 < self.host_dram_fraction <= 1.0:
             raise ConfigError(
                 f"host_dram_fraction must be in (0, 1]: {self.host_dram_fraction}"
-            )
-        if self.host_dram_bytes is not None and self.host_dram_bytes <= 0:
-            raise ConfigError(
-                f"host_dram_bytes must be positive: {self.host_dram_bytes}"
             )
 
     @property
@@ -108,13 +98,9 @@ class FleetSimulation:
             spec.name: Tenant(spec, self.config, self.observer)
             for spec in tenant_specs
         }
-        host_dram = self.config.host_dram_bytes
-        if host_dram is None:
-            total = sum(t.footprint_bytes for t in self.tenants.values())
-            host_dram = quantize_down(
-                int(self.config.host_dram_fraction * total)
-            )
-        self.arbiter = Arbiter(host_dram, self.config.arbiter, self.observer)
+        total = sum(t.footprint_bytes for t in self.tenants.values())
+        host_dram = quantize_down(int(self.config.host_dram_fraction * total))
+        self.arbiter = Arbiter(host_dram, self.observer)
         self.chaos = ChaosEngine(chaos_events, self.observer)
         self.auditor = FleetInvariantAuditor(self.arbiter)
         #: Per-tenant chaos fault models (migration-storm scaling);
@@ -207,15 +193,13 @@ class FleetSimulation:
                         )
                         obs.inc("repro_fleet_slo_violations_total")
 
-            responded: set[str] = set()
-            if epoch_index % cfg.arbiter.interval_epochs == 0:
-                responded = self.arbiter.rebalance(tenant_list, now)
-                for tenant in tenant_list:
-                    if (
-                        tenant.level is LadderLevel.QUARANTINED
-                        and tenant.result is None
-                    ):
-                        tenant.finish()
+            responded = self.arbiter.rebalance(tenant_list, now)
+            for tenant in tenant_list:
+                if (
+                    tenant.level is LadderLevel.QUARANTINED
+                    and tenant.result is None
+                ):
+                    tenant.finish()
             self._violations_total += len(violated)
             self._violations_with_response += len(violated & responded)
 
@@ -307,7 +291,8 @@ class FleetSimulation:
                 "duration": float(cfg.duration),
                 "epoch": float(cfg.epoch),
                 "seed": int(cfg.seed),
-                "stochastic": bool(cfg.stochastic),
+                # Tenant engines always draw Poisson epoch counts.
+                "stochastic": True,
                 "host_dram_bytes": int(self.arbiter.base_host_dram_bytes),
                 "tenants": len(self.tenants),
             },

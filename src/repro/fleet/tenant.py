@@ -26,6 +26,12 @@ from repro.units import HUGE_PAGE_SIZE
 from repro.workloads.registry import WORKLOAD_NAMES, make_workload
 
 
+#: Guaranteed fast-memory floor, as a fraction of the footprint.  The
+#: arbiter never reclaims below it (short of quarantine) and refuses
+#: admission when it cannot cover it.
+FLOOR_FRACTION = 0.25
+
+
 def quantize_up(nbytes: int) -> int:
     """Round a byte count up to a whole number of huge pages."""
     return -(-int(nbytes) // HUGE_PAGE_SIZE) * HUGE_PAGE_SIZE
@@ -58,10 +64,6 @@ class TenantSpec:
     scale: float = 0.05
     #: The tenant's contract: mean epoch slowdown above this is a violation.
     slo_slowdown: float = 0.05
-    #: Guaranteed fast-memory floor, as a fraction of the footprint.  The
-    #: arbiter never reclaims below it (short of quarantine) and refuses
-    #: admission when it cannot cover it.
-    floor_fraction: float = 0.25
     #: Relative priority; lower-weight tenants are quarantined first when
     #: the host itself cannot cover the sum of floors.
     weight: float = 1.0
@@ -87,11 +89,6 @@ class TenantSpec:
             raise ConfigError(
                 f"tenant {self.name!r}: slo_slowdown must be in (0, 1): "
                 f"{self.slo_slowdown}"
-            )
-        if not 0.0 < self.floor_fraction <= 1.0:
-            raise ConfigError(
-                f"tenant {self.name!r}: floor_fraction must be in (0, 1]: "
-                f"{self.floor_fraction}"
             )
         if self.weight <= 0:
             raise ConfigError(f"tenant {self.name!r}: weight must be positive")
@@ -129,9 +126,7 @@ class Tenant:
                 duration=fleet_config.duration,
                 epoch=fleet_config.epoch,
                 seed=spec.seed,
-                stochastic=fleet_config.stochastic,
             ),
-            audit=fleet_config.tenant_audit,
             observer=self.observer,
         )
         self.engine.profile_filter = self._filter_profile
@@ -173,7 +168,7 @@ class Tenant:
     @property
     def floor_bytes(self) -> int:
         """Guaranteed minimum DRAM grant while admitted."""
-        return quantize_up(self.spec.floor_fraction * self.footprint_bytes)
+        return quantize_up(FLOOR_FRACTION * self.footprint_bytes)
 
     @property
     def fast_usage_bytes(self) -> int:

@@ -1,4 +1,4 @@
-"""OS-kernel substrate: address spaces, THP, faults, BadgerTrap, kstaled.
+"""OS-kernel substrate: address spaces, THP, faults, BadgerTrap, cgroups.
 
 These modules model the Linux 4.5 machinery Thermostat was implemented in:
 
@@ -11,14 +11,11 @@ These modules model the Linux 4.5 machinery Thermostat was implemented in:
 * :mod:`repro.kernel.badgertrap` — the poisoned-PTE fault interception used
   both for access counting (Section 3.3) and slow-memory emulation
   (Section 4.2);
-* :mod:`repro.kernel.kstaled` — the Accessed-bit idle-page scanner the paper
-  uses as its motivating baseline (Figures 1 and 2);
 * :mod:`repro.kernel.cgroup` — the cgroup-style runtime control surface.
 """
 
 from repro.kernel.mmu import AddressSpace
 from repro.kernel.badgertrap import BadgerTrap
-from repro.kernel.kstaled import Kstaled
 from repro.kernel.cgroup import MemoryCgroup
 
-__all__ = ["AddressSpace", "BadgerTrap", "Kstaled", "MemoryCgroup"]
+__all__ = ["AddressSpace", "BadgerTrap", "MemoryCgroup"]

@@ -306,15 +306,6 @@ class AddressSpace:
             self.tlb.invalidate(first + offset, huge=False)
         self._node_of_huge[huge_vpn] = node
 
-    def clear_accessed_huge(self, huge_vpn: PageNumber) -> bool:
-        """Clear a 2MB Accessed bit with the required TLB shootdown."""
-        entry = self.page_table.lookup_huge(huge_vpn)
-        if entry is None:
-            raise MappingError(f"2MB page {huge_vpn:#x} is not mapped")
-        was_set = entry.clear_accessed()
-        self.tlb.invalidate(huge_vpn, huge=True)
-        return was_set
-
     def clear_accessed_base(self, base_vpn: PageNumber) -> bool:
         """Clear a 4KB Accessed bit with the required TLB shootdown."""
         entry = self.page_table.lookup_base(base_vpn)

@@ -15,7 +15,7 @@ hardware never re-walks the table.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.mem.address import PageNumber

@@ -41,24 +41,12 @@ import time
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.faults.service import ServiceFaultConfig
 from repro.ioutil import atomic_write_json
 from repro.obs import Observer
 from repro.obs.live import FlightRecorder
 from repro.service.core import PlacementService, ServiceConfig
 from repro.service.traffic import TrafficConfig, drive
 from repro.service.wal import verify_log
-
-#: The pinned --chaos fault mix (also what the CI soak uses).
-CHAOS_FAULTS = ServiceFaultConfig(
-    enabled=True,
-    slow_consumer_rate=0.05,
-    slow_consumer_stall_seconds=0.08,
-    slow_consumer_duration_ticks=4,
-    corrupt_event_rate=0.02,
-    clock_stall_rate=0.01,
-    clock_stall_seconds=0.5,
-)
 
 
 def _service_args(parser: argparse.ArgumentParser) -> None:
@@ -188,13 +176,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     service = _build_service(args)
-    faults = CHAOS_FAULTS if args.chaos else ServiceFaultConfig()
     traffic = TrafficConfig(
         seed=args.seed,
         tenants=args.tenants,
         huge_pages=args.pages,
         decisions=args.decisions,
-        faults=faults,
+        chaos=args.chaos,
     )
     emit = None
     if args.emit:

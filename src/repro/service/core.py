@@ -42,11 +42,11 @@ number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import SimulationConfig, ThermostatConfig
+from repro.config import SimulationConfig
 from repro.core.thermostat import ThermostatPolicy
 from repro.errors import ConfigError, ReproError, ServiceError
 from repro.mem.numa import NumaTopology
@@ -82,73 +82,45 @@ from repro.units import HUGE_PAGE_SIZE, SUBPAGES_PER_HUGE_PAGE
 from repro.workloads.base import Workload
 
 
+#: Queue-depth fraction at which backpressure engages.
+BACKPRESSURE_WATERMARK = 0.8
+#: Engine attempts per request before giving up (1 = no retries).
+MAX_ATTEMPTS = 3
+#: Backoff after the first failed attempt, seconds; doubles per retry.
+BACKOFF_SECONDS = 0.005
+#: Multiplicative jitter upper bound: delay *= 1 + U[0, jitter).
+BACKOFF_JITTER = 0.5
+#: Consecutive engine failures that trip the breaker.
+BREAKER_FAILURE_THRESHOLD = 5
+#: Seconds the breaker stays open before allowing a probe.
+BREAKER_RESET_SECONDS = 2.0
+#: Consecutive probe successes that close the breaker.
+BREAKER_HALF_OPEN_SUCCESSES = 2
+#: Engine failures for one request_id before it is quarantined.
+POISON_REQUEST_THRESHOLD = 2
+#: Consecutive corrupt events from one source before it is quarantined.
+POISON_SOURCE_THRESHOLD = 5
+#: Acked decisions between checkpoint snapshots.
+CHECKPOINT_EVERY = 64
+#: Virtual seconds of observation each engine epoch represents.
+EPOCH_SECONDS = 1.0
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Knobs of the online placement service."""
+    """Knobs of the online placement service (the CLI's flags)."""
 
     #: RNG seed for the retry-jitter streams (deterministic schedules).
     seed: int = 0
     #: Ingress queue capacity (events).
     queue_capacity: int = 4096
-    #: Queue-depth fraction at which backpressure engages.
-    backpressure_watermark: float = 0.8
     #: Default per-request latency budget, seconds.
     deadline_seconds: float = 0.05
-    #: Engine attempts per request before giving up (1 = no retries).
-    max_attempts: int = 3
-    #: Backoff after the first failed attempt, seconds; doubles per retry.
-    backoff_seconds: float = 0.005
-    #: Multiplicative jitter upper bound: delay *= 1 + U[0, jitter).
-    backoff_jitter: float = 0.5
-    #: Consecutive engine failures that trip the breaker.
-    breaker_failure_threshold: int = 5
-    #: Seconds the breaker stays open before allowing a probe.
-    breaker_reset_seconds: float = 2.0
-    #: Consecutive probe successes that close the breaker.
-    breaker_half_open_successes: int = 2
-    #: Engine failures for one request_id before it is quarantined.
-    poison_request_threshold: int = 2
-    #: Consecutive corrupt events from one source before it is quarantined.
-    poison_source_threshold: int = 5
-    #: Acked decisions between checkpoint snapshots.
-    checkpoint_every: int = 64
-    #: Virtual seconds of observation each engine epoch represents.
-    epoch_seconds: float = 1.0
-    #: Thermostat policy knobs applied to every tenant engine.
-    tolerable_slowdown: float = 0.03
 
     def __post_init__(self) -> None:
         if self.deadline_seconds <= 0:
             raise ConfigError(
                 f"deadline_seconds must be positive: {self.deadline_seconds}"
-            )
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1: {self.max_attempts}")
-        if self.backoff_seconds < 0:
-            raise ConfigError(
-                f"backoff_seconds must be >= 0: {self.backoff_seconds}"
-            )
-        if self.backoff_jitter < 0:
-            raise ConfigError(
-                f"backoff_jitter must be >= 0: {self.backoff_jitter}"
-            )
-        if self.poison_request_threshold < 1:
-            raise ConfigError(
-                f"poison_request_threshold must be >= 1: "
-                f"{self.poison_request_threshold}"
-            )
-        if self.poison_source_threshold < 1:
-            raise ConfigError(
-                f"poison_source_threshold must be >= 1: "
-                f"{self.poison_source_threshold}"
-            )
-        if self.checkpoint_every < 1:
-            raise ConfigError(
-                f"checkpoint_every must be >= 1: {self.checkpoint_every}"
-            )
-        if self.epoch_seconds <= 0:
-            raise ConfigError(
-                f"epoch_seconds must be positive: {self.epoch_seconds}"
             )
 
 
@@ -222,12 +194,12 @@ class PlacementService:
         #: Span trees built so far (also the per-service trace sequence).
         self.traces_total = 0
         self.queue = BoundedIngressQueue(
-            self.config.queue_capacity, self.config.backpressure_watermark
+            self.config.queue_capacity, BACKPRESSURE_WATERMARK
         )
         self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_timeout=self.config.breaker_reset_seconds,
-            half_open_successes=self.config.breaker_half_open_successes,
+            failure_threshold=BREAKER_FAILURE_THRESHOLD,
+            reset_timeout=BREAKER_RESET_SECONDS,
+            half_open_successes=BREAKER_HALF_OPEN_SUCCESSES,
         )
         self.cache = DecisionCache()
         self.tenants: dict[str, TenantState] = {}
@@ -346,7 +318,7 @@ class PlacementService:
             self.counters["corrupt_total"] += 1
             streak = self._source_corrupt_streaks.get(source, 0) + 1
             self._source_corrupt_streaks[source] = streak
-            if streak >= self.config.poison_source_threshold:
+            if streak >= POISON_SOURCE_THRESHOLD:
                 self.quarantined_sources.add(source)
                 self.counters["quarantined_sources"] += 1
                 if self.observer.active:
@@ -560,7 +532,7 @@ class PlacementService:
             except ReproError:
                 self.counters["engine_failures"] += 1
                 self.breaker.record_failure(virtual_now)
-                if attempt >= self.config.max_attempts:
+                if attempt >= MAX_ATTEMPTS:
                     if attempts is not None:
                         attempts.append(
                             {
@@ -572,7 +544,7 @@ class PlacementService:
                         )
                     failures = self.request_failures.get(event.request_id, 0) + 1
                     self.request_failures[event.request_id] = failures
-                    if failures >= self.config.poison_request_threshold:
+                    if failures >= POISON_REQUEST_THRESHOLD:
                         self.quarantined_requests.add(event.request_id)
                         self.counters["quarantined_requests"] += 1
                         if self.observer.active:
@@ -588,9 +560,9 @@ class PlacementService:
                     break
                 self.counters["retries"] += 1
                 virtual_now += retry_delay(
-                    self.config.backoff_seconds,
+                    BACKOFF_SECONDS,
                     attempt,
-                    float(self._retry_rng.random()) * self.config.backoff_jitter,
+                    float(self._retry_rng.random()) * BACKOFF_JITTER,
                 )
                 if attempts is not None:
                     # The attempt span covers its backoff: virtual time
@@ -642,9 +614,7 @@ class PlacementService:
                 state.engine.epochs_run if state.engine is not None else 0,
             )
         if state.engine is None:
-            policy = ThermostatPolicy(
-                ThermostatConfig(tolerable_slowdown=self.config.tolerable_slowdown)
-            )
+            policy = ThermostatPolicy()
             # The tenant may grow after this first decide and the engine
             # never resizes its tiers, so size both for the largest
             # footprint an admitted event can declare.
@@ -653,8 +623,8 @@ class PlacementService:
                 IngestedWorkload(tenant_name, state.num_huge_pages),
                 policy,
                 SimulationConfig(
-                    duration=self.config.epoch_seconds * 1_000_000,
-                    epoch=self.config.epoch_seconds,
+                    duration=EPOCH_SECONDS * 1_000_000,
+                    epoch=EPOCH_SECONDS,
                     seed=self.config.seed,
                     stochastic=False,
                 ),
@@ -667,7 +637,7 @@ class PlacementService:
             state.policy = policy
         profile = EpochProfile(
             start_time=state.engine.clock.now,
-            duration=self.config.epoch_seconds,
+            duration=EPOCH_SECONDS,
             counts=state.pending,
             write_fraction=0.1,
         )
@@ -697,7 +667,7 @@ class PlacementService:
         if self.log is not None:
             self.log.append(record)
             self._acks_since_checkpoint += 1
-            if self._acks_since_checkpoint >= self.config.checkpoint_every:
+            if self._acks_since_checkpoint >= CHECKPOINT_EVERY:
                 self.checkpoint()
         self.acked[event.request_id] = seq
         decision = CachedDecision(

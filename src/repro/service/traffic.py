@@ -2,7 +2,8 @@
 
 Generates a seeded stream of wire lines (access events, snapshots,
 placement requests across a priority mix), optionally mangled and
-stalled by a :class:`~repro.faults.service.ServiceFaultInjector`, and
+stalled by the pinned chaos mix of
+:class:`~repro.faults.service.ServiceFaultInjector`, and
 drives a :class:`~repro.service.core.PlacementService` through it on a
 virtual clock.  Same seed, same config → byte-identical line stream and
 identical responses, which is what lets the chaos soak assert exact
@@ -22,12 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.faults.service import ServiceFaultConfig, ServiceFaultInjector
+from repro.faults.service import ServiceFaultInjector
 from repro.rng import child_rng, make_rng
 from repro.service.core import PlacementService
 
 #: Wire-stream shape: every ``EVENTS_PER_DECISION``-th line is a decide.
 EVENTS_PER_DECISION = 8
+#: Mean accesses per touched huge page per access event.
+MEAN_ACCESSES = 2000
+#: Fraction of each tenant's pages that are hot (heavily accessed).
+HOT_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -38,13 +43,10 @@ class TrafficConfig:
     tenants: int = 2
     huge_pages: int = 16
     decisions: int = 100
-    #: Mean accesses per touched huge page per access event.
-    mean_accesses: int = 2000
-    #: Fraction of each tenant's pages that are hot (heavily accessed).
-    hot_fraction: float = 0.25
     #: Virtual seconds between consecutive wire lines.
     inter_arrival_seconds: float = 0.002
-    faults: ServiceFaultConfig = field(default_factory=ServiceFaultConfig)
+    #: Mangle and stall the stream with the pinned chaos mix.
+    chaos: bool = False
 
     def __post_init__(self) -> None:
         if self.tenants < 1:
@@ -53,10 +55,6 @@ class TrafficConfig:
             raise ConfigError(f"huge_pages must be >= 1: {self.huge_pages}")
         if self.decisions < 1:
             raise ConfigError(f"decisions must be >= 1: {self.decisions}")
-        if not 0.0 < self.hot_fraction <= 1.0:
-            raise ConfigError(
-                f"hot_fraction must be in (0, 1]: {self.hot_fraction}"
-            )
         if self.inter_arrival_seconds <= 0:
             raise ConfigError(
                 f"inter_arrival_seconds must be positive: "
@@ -106,7 +104,7 @@ def generate_lines(config: TrafficConfig):
     clean stream is reusable for replay-after-crash runs.
     """
     rng = child_rng(make_rng(config.seed), "service-traffic")
-    hot_pages = max(1, int(config.huge_pages * config.hot_fraction))
+    hot_pages = max(1, int(config.huge_pages * HOT_FRACTION))
     decision_counter = 0
     line_index = 0
     while decision_counter < config.decisions:
@@ -126,7 +124,7 @@ def generate_lines(config: TrafficConfig):
                 if rng.random() < 0.8
                 else int(rng.integers(0, config.huge_pages))
             )
-            count = int(rng.poisson(config.mean_accesses))
+            count = int(rng.poisson(MEAN_ACCESSES))
             payload = {
                 "kind": "access",
                 "tenant": tenant,
@@ -151,8 +149,9 @@ def drive(
     :class:`~repro.service.events.DecisionResponse` (the CLI streams them
     to stdout).
     """
-    injector = ServiceFaultInjector.from_config(
-        config.faults, make_rng(config.seed)
+    rng = make_rng(config.seed)
+    injector = (
+        ServiceFaultInjector.chaos(rng) if config.chaos else ServiceFaultInjector(rng)
     )
     injector.observer = service.observer
     report = TrafficReport()

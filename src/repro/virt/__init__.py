@@ -1,23 +1,16 @@
-"""Virtualization substrate: nested paging costs and guest memory layout.
+"""Virtualization substrate: nested paging costs.
 
 The paper evaluates Thermostat under KVM because virtualization is where
 huge pages matter most: a two-dimensional (guest + host) page walk costs up
 to 24 memory references with 4KB pages at both levels but only 15 with 2MB
-pages at both levels (Section 2.2).  This package provides:
-
-* :mod:`repro.virt.nested` — the nested-walk cost model and the
-  virtualized translation-overhead estimator behind Table 1;
-* :mod:`repro.virt.guest` — the guest-physical to host-physical mapping
-  and the vmexit cost rationale for running BadgerTrap inside the guest
-  (Section 4.2).
+pages at both levels (Section 2.2).  :mod:`repro.virt.nested` holds the
+nested-walk cost model and the virtualized translation-overhead estimator
+behind Table 1.
 """
 
 from repro.virt.nested import NestedPagingModel, TranslationOverheadModel
-from repro.virt.guest import GuestMemoryMap, VmexitModel
 
 __all__ = [
     "NestedPagingModel",
     "TranslationOverheadModel",
-    "GuestMemoryMap",
-    "VmexitModel",
 ]

@@ -6,7 +6,6 @@ import pytest
 from repro.core.sampling import (
     CyclingSampler,
     choose_poison_subpages,
-    choose_sampled_pages,
     poisoned_memory_fraction,
 )
 from repro.errors import ConfigError
@@ -15,42 +14,6 @@ from repro.errors import ConfigError
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
-
-
-class TestChooseSampledPages:
-    def test_sample_size(self, rng):
-        sample = choose_sampled_pages(1000, 0.05, rng)
-        assert sample.size == 50
-
-    def test_minimum_one(self, rng):
-        assert choose_sampled_pages(5, 0.05, rng).size == 1
-
-    def test_sorted_unique(self, rng):
-        sample = choose_sampled_pages(200, 0.2, rng)
-        assert np.array_equal(sample, np.unique(sample))
-
-    def test_in_range(self, rng):
-        sample = choose_sampled_pages(100, 0.5, rng)
-        assert sample.min() >= 0 and sample.max() < 100
-
-    def test_exclusions_respected(self, rng):
-        excluded = np.arange(0, 50)
-        sample = choose_sampled_pages(100, 0.5, rng, exclude=excluded)
-        assert not np.intersect1d(sample, excluded).size
-
-    def test_empty_when_all_excluded(self, rng):
-        sample = choose_sampled_pages(10, 0.5, rng, exclude=np.arange(10))
-        assert sample.size == 0
-
-    def test_bad_fraction_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            choose_sampled_pages(10, 0.0, rng)
-        with pytest.raises(ConfigError):
-            choose_sampled_pages(10, 1.5, rng)
-
-    def test_negative_count_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            choose_sampled_pages(-1, 0.5, rng)
 
 
 class TestChoosePoisonSubpages:

@@ -1,5 +1,7 @@
 """Smoke tests for the extension experiments (Section 6 material)."""
 
+import pytest
+
 from repro.experiments import ext_counting, ext_latency, ext_oracle, ext_wear
 
 SCALE = 0.03
@@ -83,15 +85,28 @@ class TestExtService:
         assert "degraded" in text
         assert text == ext_service.render(ext_service.run(seed=SEED, decisions=40))
 
-    def test_configure_validation(self):
-        import pytest
 
-        from repro.errors import ConfigError
-        from repro.experiments import ext_service
+class TestRunnerFlags:
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["ext-fleet", "--chaos", "nope"], "unknown chaos scenarios: nope"),
+            (["ext-fleet", "--tenants", "0"], "--tenants must be >= 1 (got 0)"),
+            (["ext-fleet", "--slo", "1.5"], "--slo must be in (0, 1) (got 1.5)"),
+            (
+                ["ext-service", "--service-decisions", "0"],
+                "--service-decisions must be >= 1 (got 0)",
+            ),
+        ],
+        ids=["chaos", "tenants", "slo", "service-decisions"],
+    )
+    def test_bad_flag_is_an_argparse_error(self, argv, message, capsys):
+        from repro.experiments.runner import main as runner_main
 
-        with pytest.raises(ConfigError):
-            ext_service.configure(decisions=0)
-        ext_service.configure(decisions=None)
+        with pytest.raises(SystemExit) as exc:
+            runner_main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestRunnerIncludesExtensions:

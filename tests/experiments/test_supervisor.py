@@ -12,9 +12,10 @@ import json
 import pytest
 from test_parallel import SPEC, assert_results_identical
 
+from repro import config as config_module
 from repro.config import SupervisorConfig
 from repro.errors import ConfigError, QuarantinedTaskError
-from repro.experiments import common
+from repro.experiments import common, supervisor
 from repro.experiments.parallel import (
     TEST_FAULT_ENV,
     ResultStore,
@@ -28,8 +29,12 @@ from repro.experiments.supervisor import run_supervised
 #: A second fast spec so batches have an innocent bystander.
 OTHER = RunSpec(workload="redis", scale=0.02, duration=90.0, seed=7)
 
-#: Fast-retry posture for tests: backoff measured in milliseconds.
-FAST = dict(backoff_seconds=0.01, backoff_jitter=0.1, seed=0)
+
+@pytest.fixture(autouse=True)
+def _fast_backoff(monkeypatch):
+    """Fast-retry posture for tests: backoff measured in milliseconds."""
+    monkeypatch.setattr(supervisor, "BACKOFF_SECONDS", 0.01)
+    monkeypatch.setattr(supervisor, "BACKOFF_JITTER", 0.1)
 
 
 def clean_results(*specs):
@@ -48,7 +53,8 @@ def _reset_common_state():
 
 class TestConfig:
     def test_parent_timeout_scales_worker_budget(self):
-        assert SupervisorConfig(timeout=5.0, grace=10.0).parent_timeout == 17.5
+        budget = SupervisorConfig(timeout=5.0).parent_timeout
+        assert budget == 7.5 + config_module.PARENT_GRACE_SECONDS
         assert SupervisorConfig().parent_timeout is None
 
     def test_validation(self):
@@ -56,15 +62,13 @@ class TestConfig:
             SupervisorConfig(timeout=0.0)
         with pytest.raises(ConfigError):
             SupervisorConfig(max_attempts=0)
-        with pytest.raises(ConfigError):
-            SupervisorConfig(backoff_seconds=-1.0)
 
 
 class TestCleanBatch:
     def test_matches_run_many(self):
         reference = clean_results(SPEC, OTHER)
         batch = run_supervised(
-            [SPEC, OTHER], jobs=2, store=ResultStore(), config=SupervisorConfig(**FAST)
+            [SPEC, OTHER], jobs=2, store=ResultStore(), config=SupervisorConfig()
         )
         assert batch.quarantined == []
         assert (batch.resumed, batch.retried, batch.attempts) == (0, 0, {})
@@ -74,7 +78,7 @@ class TestCleanBatch:
 
     def test_duplicates_collapse_to_one_task(self):
         batch = run_supervised(
-            [SPEC, SPEC], jobs=2, store=ResultStore(), config=SupervisorConfig(**FAST)
+            [SPEC, SPEC], jobs=2, store=ResultStore(), config=SupervisorConfig()
         )
         assert_results_identical(batch.results[0], batch.results[1])
 
@@ -89,7 +93,7 @@ class TestCrashRecovery:
             [SPEC, OTHER],
             jobs=jobs,
             store=ResultStore(),
-            config=SupervisorConfig(**FAST),
+            config=SupervisorConfig(),
         )
         assert marker.exists()
         assert batch.quarantined == []
@@ -104,7 +108,7 @@ class TestCrashRecovery:
         batch = run_supervised(
             [SPEC],
             store=ResultStore(),
-            config=SupervisorConfig(timeout=0.5, **FAST),
+            config=SupervisorConfig(timeout=0.5),
         )
         assert marker.exists()
         assert batch.quarantined == []
@@ -112,16 +116,14 @@ class TestCrashRecovery:
         assert batch.results[0] is not None
 
     def test_hard_hang_killed_by_parent_backstop(self, tmp_path, monkeypatch):
-        """With the in-worker alarm disabled, only the parent-side
-        deadline can recover — by killing and rebuilding the pool."""
+        """A hang that blocks SIGALRM outlives the in-worker alarm; only
+        the parent-side deadline can recover — by killing and rebuilding
+        the pool."""
         marker = tmp_path / "hang-once"
-        monkeypatch.setenv(TEST_FAULT_ENV, f"web-search:hang:30@{marker}")
+        monkeypatch.setenv(TEST_FAULT_ENV, f"web-search:hard-hang:30@{marker}")
+        monkeypatch.setattr(config_module, "PARENT_GRACE_SECONDS", 0.2)
         batch = run_supervised(
-            [SPEC],
-            store=ResultStore(),
-            config=SupervisorConfig(
-                timeout=0.4, grace=0.2, worker_alarm=False, **FAST
-            ),
+            [SPEC], store=ResultStore(), config=SupervisorConfig(timeout=0.4)
         )
         assert batch.quarantined == []
         assert batch.results[0] is not None
@@ -255,7 +257,7 @@ class TestQuarantine:
             jobs=2,
             store=ResultStore(),
             config=SupervisorConfig(
-                max_attempts=2, quarantine_path=str(quarantine), **FAST
+                max_attempts=2, quarantine_path=str(quarantine)
             ),
         )
         # The healthy bystander still completed.
@@ -288,7 +290,7 @@ class TestQuarantine:
             [SPEC],
             store=ResultStore(),
             config=SupervisorConfig(
-                max_attempts=2, quarantine_path=str(quarantine), **FAST
+                max_attempts=2, quarantine_path=str(quarantine)
             ),
             observer=obs,
         )
@@ -320,7 +322,6 @@ class TestQuarantine:
             config=SupervisorConfig(
                 max_attempts=2,
                 quarantine_path=str(tmp_path / "quarantine.json"),
-                **FAST,
             ),
             observer=obs,
         )
@@ -342,7 +343,7 @@ class TestQuarantine:
             [SPEC],
             store=ResultStore(),
             config=SupervisorConfig(
-                max_attempts=2, quarantine_path=str(quarantine), **FAST
+                max_attempts=2, quarantine_path=str(quarantine)
             ),
         )
         (entry,) = batch.quarantined
@@ -355,7 +356,7 @@ class TestQuarantine:
         run_supervised(
             [SPEC],
             store=ResultStore(),
-            config=SupervisorConfig(quarantine_path=str(quarantine), **FAST),
+            config=SupervisorConfig(quarantine_path=str(quarantine)),
         )
         assert not quarantine.exists()
 
@@ -374,7 +375,7 @@ class TestResume:
         monkeypatch.setenv(TEST_FAULT_ENV, "redis:raise")
         store = ResultStore(tmp_path)
         batch = run_supervised(
-            [SPEC, OTHER], jobs=2, store=store, config=SupervisorConfig(**FAST)
+            [SPEC, OTHER], jobs=2, store=store, config=SupervisorConfig()
         )
         assert not (tmp_path / "half-written.json.tmp").exists()
         assert batch.resumed == 1
@@ -389,7 +390,7 @@ class TestAuditOnRetry:
         the retry carried audit=True."""
         monkeypatch.setenv(TEST_FAULT_ENV, "web-search:assert-audit")
         batch = run_supervised(
-            [SPEC], store=ResultStore(), config=SupervisorConfig(**FAST)
+            [SPEC], store=ResultStore(), config=SupervisorConfig()
         )
         assert batch.quarantined == []
         assert batch.attempts[SPEC.cache_key()] == 1
@@ -406,21 +407,11 @@ class TestAuditOnRetry:
         batch = run_supervised(
             [SPEC],
             store=store,
-            config=SupervisorConfig(max_attempts=2, **FAST),
+            config=SupervisorConfig(max_attempts=2),
         )
         (entry,) = batch.quarantined
         assert entry.error_type == "InvariantViolation"
         assert SPEC.cache_key() not in store
-
-    def test_audit_can_be_disabled(self, monkeypatch):
-        monkeypatch.setenv(TEST_FAULT_ENV, "web-search:assert-audit")
-        batch = run_supervised(
-            [SPEC],
-            store=ResultStore(),
-            config=SupervisorConfig(max_attempts=2, audit_retries=False, **FAST),
-        )
-        (entry,) = batch.quarantined
-        assert entry.error_type == "RuntimeError"
 
 
 class TestRunnerIntegration:

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.errors import ConfigError, FaultInjectionError
+from repro.errors import FaultInjectionError
 from repro.faults.models import (
     ClockStallFaultModel,
     CorruptEventFaultModel,
     SlowConsumerFaultModel,
 )
-from repro.faults.service import ServiceFaultConfig, ServiceFaultInjector
+from repro.faults.service import ServiceFaultInjector
 from repro.rng import make_rng
 
 
@@ -101,43 +101,21 @@ class TestClockStallFaultModel:
         assert model.stall_this_tick() == 0.0
 
 
-class TestServiceFaultConfig:
-    def test_defaults_inject_nothing(self):
-        config = ServiceFaultConfig()
-        assert not config.any_faults_possible
-
-    def test_enabled_with_zero_rates_still_inert(self):
-        assert not ServiceFaultConfig(enabled=True).any_faults_possible
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ServiceFaultConfig(corrupt_event_rate=1.5)
-        with pytest.raises(ConfigError):
-            ServiceFaultConfig(clock_stall_seconds=-1.0)
-        with pytest.raises(ConfigError):
-            ServiceFaultConfig(slow_consumer_duration_ticks=0)
-
-
 class TestServiceFaultInjector:
     def test_inert_injector_has_no_models(self):
-        injector = ServiceFaultInjector.from_config(
-            ServiceFaultConfig(), make_rng(0)
-        )
+        injector = ServiceFaultInjector(make_rng(0))
         assert injector.slow_consumer is None
         assert injector.consumer_stall_seconds() == 0.0
         assert injector.clock_stall_seconds() == 0.0
         assert injector.maybe_corrupt("{}") == ("{}", False)
 
-    def test_from_config_activates_configured_models(self):
-        config = ServiceFaultConfig(
-            enabled=True,
-            slow_consumer_rate=1.0,
-            slow_consumer_stall_seconds=0.1,
-            corrupt_event_rate=1.0,
-            clock_stall_rate=1.0,
-            clock_stall_seconds=0.5,
+    def test_models_fire_through_the_facade(self):
+        injector = ServiceFaultInjector(
+            make_rng(0),
+            slow_consumer=SlowConsumerFaultModel(1.0, 0.1),
+            corrupt_event=CorruptEventFaultModel(1.0),
+            clock_stall=ClockStallFaultModel(1.0, 0.5),
         )
-        injector = ServiceFaultInjector.from_config(config, make_rng(0))
         assert injector.consumer_stall_seconds() == pytest.approx(0.1)
         assert injector.clock_stall_seconds() == pytest.approx(0.5)
         payload, corrupted = injector.maybe_corrupt('{"x": 1}')
@@ -146,17 +124,12 @@ class TestServiceFaultInjector:
 
     def test_streams_are_decorrelated(self):
         # Enabling corruption must not shift the slow-consumer schedule.
-        def stall_schedule(config):
-            injector = ServiceFaultInjector.from_config(config, make_rng(11))
+        def stall_schedule(corrupt_event):
+            injector = ServiceFaultInjector(
+                make_rng(11),
+                slow_consumer=SlowConsumerFaultModel(0.3, 0.1),
+                corrupt_event=corrupt_event,
+            )
             return [injector.consumer_stall_seconds() for _ in range(50)]
 
-        base = ServiceFaultConfig(
-            enabled=True, slow_consumer_rate=0.3, slow_consumer_stall_seconds=0.1
-        )
-        with_corrupt = ServiceFaultConfig(
-            enabled=True,
-            slow_consumer_rate=0.3,
-            slow_consumer_stall_seconds=0.1,
-            corrupt_event_rate=0.5,
-        )
-        assert stall_schedule(base) == stall_schedule(with_corrupt)
+        assert stall_schedule(None) == stall_schedule(CorruptEventFaultModel(0.5))

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fleet.arbiter import Arbiter, ArbiterConfig
+from repro.fleet import arbiter as arbiter_module
+from repro.fleet.arbiter import Arbiter
 from repro.fleet.sim import FleetConfig
 from repro.fleet.tenant import LadderLevel, Tenant, TenantSpec
 from repro.units import HUGE_PAGE_SIZE, MB
@@ -16,12 +17,6 @@ def make_tenant(name="a", scale=0.01, **spec_kwargs) -> Tenant:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ArbiterConfig(interval_epochs=0)
-        with pytest.raises(ConfigError):
-            ArbiterConfig(grant_step_fraction=0.0)
-        with pytest.raises(ConfigError):
-            ArbiterConfig(throttle_factor=1.5)
         with pytest.raises(ConfigError):
             Arbiter(host_dram_bytes=0)
 
@@ -95,10 +90,11 @@ class TestRebalance:
         total = needy.grant_bytes + donor.grant_bytes + sink.grant_bytes
         assert total <= arbiter.host_dram_bytes
 
-    def test_starved_tenant_walks_the_ladder_to_quarantine(self):
-        cfg = ArbiterConfig(throttle_after=2, shrink_after=2, quarantine_after=2)
+    def test_starved_tenant_walks_the_ladder_to_quarantine(self, monkeypatch):
+        for rung in ("THROTTLE_AFTER", "SHRINK_AFTER", "QUARANTINE_AFTER"):
+            monkeypatch.setattr(arbiter_module, rung, 2)
         tenant = make_tenant()
-        arbiter = Arbiter(tenant.footprint_bytes, cfg)
+        arbiter = Arbiter(tenant.footprint_bytes)
         arbiter.admit(tenant, [tenant], 0.0)
         # Footprint fully granted, so the arbiter can never help: at_cap
         # decisions accumulate starvation and escalate rung by rung.
@@ -112,19 +108,18 @@ class TestRebalance:
         assert LadderLevel.SHRUNK in levels
         assert tenant.level is LadderLevel.QUARANTINED
         assert tenant.grant_bytes == 0
-        assert tenant.throttle_factor == cfg.throttle_factor
+        assert tenant.throttle_factor == arbiter_module.THROTTLE_FACTOR
         assert arbiter.quarantines == 1
         # Quarantined tenants drop out of later passes entirely.
         assert arbiter.rebalance([tenant], 999.0) == set()
 
     def test_clean_streak_deescalates(self):
-        cfg = ArbiterConfig(recover_epochs=2)
         tenant = make_tenant()
-        arbiter = Arbiter(tenant.footprint_bytes, cfg)
+        arbiter = Arbiter(tenant.footprint_bytes)
         arbiter.admit(tenant, [tenant], 0.0)
         tenant.level = LadderLevel.THROTTLED
-        tenant.throttle_factor = 0.5
-        tenant.clean_streak = 2
+        tenant.throttle_factor = arbiter_module.THROTTLE_FACTOR
+        tenant.clean_streak = arbiter_module.RECOVER_EPOCHS
         arbiter.rebalance([tenant], 30.0)
         assert tenant.level is LadderLevel.HEALTHY
         assert tenant.throttle_factor == 1.0

@@ -6,7 +6,6 @@ from repro.errors import ConfigError
 from repro.fleet.chaos import (
     CHAOS_KINDS,
     SCENARIOS,
-    ChaosEngine,
     ChaosEvent,
     scenario_schedule,
 )

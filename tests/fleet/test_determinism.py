@@ -20,7 +20,7 @@ def build(scenario="churn", seed=11):
     return FleetSimulation(
         specs + list(extra),
         events,
-        FleetConfig(duration=DURATION, epoch=30.0, seed=seed, stochastic=True),
+        FleetConfig(duration=DURATION, epoch=30.0, seed=seed),
     )
 
 
@@ -51,7 +51,7 @@ class TestReplay:
         never = FleetSimulation(
             specs,
             [],
-            FleetConfig(duration=DURATION, epoch=30.0, seed=11, stochastic=True),
+            FleetConfig(duration=DURATION, epoch=30.0, seed=11),
         ).run()
         assert quiet.scorecard_digest == never.scorecard_digest
 

@@ -10,12 +10,12 @@ stays clean through every epoch of the disturbance.
 """
 
 from repro.fleet import (
-    ArbiterConfig,
     ChaosEvent,
     FleetConfig,
     FleetSimulation,
     LadderLevel,
     TenantSpec,
+    arbiter,
 )
 from repro.units import HUGE_PAGE_SIZE
 
@@ -38,7 +38,7 @@ def make_specs(n=3):
 
 
 def run_fleet(specs, events=(), **config_kwargs):
-    defaults = dict(duration=DURATION, epoch=EPOCH, seed=9, stochastic=True)
+    defaults = dict(duration=DURATION, epoch=EPOCH, seed=9)
     defaults.update(config_kwargs)
     sim = FleetSimulation(specs, list(events), FleetConfig(**defaults))
     return sim.run()
@@ -107,7 +107,7 @@ class TestTierShrinkMidArbitration:
         for card in result.scorecard["tenants"].values():
             assert card["final_grant_bytes"] % HUGE_PAGE_SIZE == 0
 
-    def test_combined_storm_and_shrink_walks_the_ladder(self):
+    def test_combined_storm_and_shrink_walks_the_ladder(self, monkeypatch):
         """The compound fault (storm + shrink overlapping) must degrade
         tenants via the ladder, never corrupt the ledger."""
         events = [
@@ -120,12 +120,10 @@ class TestTierShrinkMidArbitration:
                 magnitude=0.6,
             ),
         ]
-        ladder = ArbiterConfig(
-            throttle_after=1, shrink_after=1, quarantine_after=2
-        )
-        result = run_fleet(
-            make_specs(3), events, host_dram_fraction=0.6, arbiter=ladder
-        )
+        monkeypatch.setattr(arbiter, "THROTTLE_AFTER", 1)
+        monkeypatch.setattr(arbiter, "SHRINK_AFTER", 1)
+        monkeypatch.setattr(arbiter, "QUARANTINE_AFTER", 2)
+        result = run_fleet(make_specs(3), events, host_dram_fraction=0.6)
         invariants = result.scorecard["invariants"]
         assert invariants["checked_epochs"] == 10
         assert invariants["violations"] == 0

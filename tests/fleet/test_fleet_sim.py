@@ -4,11 +4,11 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fleet import (
-    ArbiterConfig,
     FleetConfig,
     FleetSimulation,
     LadderLevel,
     TenantSpec,
+    arbiter,
     scenario_schedule,
 )
 from repro.units import HUGE_PAGE_SIZE
@@ -31,7 +31,7 @@ def make_specs(n=2):
 
 
 def run_fleet(specs, events=(), **config_kwargs):
-    defaults = dict(duration=DURATION, epoch=30.0, seed=9, stochastic=True)
+    defaults = dict(duration=DURATION, epoch=30.0, seed=9)
     defaults.update(config_kwargs)
     sim = FleetSimulation(specs, list(events), FleetConfig(**defaults))
     return sim.run()
@@ -80,16 +80,15 @@ class TestRun:
         assert slo["violations_total"] > 0
         assert slo["violations_with_response"] == slo["violations_total"]
 
-    def test_adversarial_tenant_is_quarantined_not_crashed(self):
+    def test_adversarial_tenant_is_quarantined_not_crashed(self, monkeypatch):
         specs = make_specs(2)
         extra, events = scenario_schedule(
             "adversarial", [s.name for s in specs], DURATION, SCALE
         )
         # A fast ladder so the 10-epoch run can reach quarantine.
-        ladder = ArbiterConfig(
-            throttle_after=1, shrink_after=1, quarantine_after=1
-        )
-        result = run_fleet(specs + list(extra), events, arbiter=ladder)
+        for rung in ("THROTTLE_AFTER", "SHRINK_AFTER", "QUARANTINE_AFTER"):
+            monkeypatch.setattr(arbiter, rung, 1)
+        result = run_fleet(specs + list(extra), events)
         card = result.scorecard["tenants"]["impossible"]
         assert card["quarantined"]
         assert card["ladder_level"] == "quarantined"

@@ -148,13 +148,14 @@ class TestSplitCollapse:
     def test_clear_accessed_invalidates_tlb(self):
         space = make_space()
         space.mmap(0, HUGE_PAGE_SIZE)
+        space.split_huge(0)
         space.access(0)
-        assert space.clear_accessed_huge(0) is True
+        assert space.clear_accessed_base(0) is True
         # Because the TLB entry was shot down, the next access re-walks and
         # re-sets the bit.
         outcome = space.access(0)
         assert outcome.tlb_hit_level == 0
-        assert space.page_table.lookup_huge(0).accessed
+        assert space.page_table.lookup_base(0).accessed
 
 
 class TestMigration:

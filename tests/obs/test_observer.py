@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import SupervisorConfig
 from repro.errors import ObservabilityError
+from repro.experiments import supervisor
 from repro.experiments.parallel import (
     TEST_FAULT_ENV,
     ResultStore,
@@ -39,9 +40,6 @@ from repro.obs.validate import validate_directory
 
 SPEC = RunSpec(workload="web-search", scale=0.02, duration=90.0, seed=3)
 OTHER = RunSpec(workload="redis", scale=0.02, duration=90.0, seed=3)
-
-#: Fast-retry posture for supervisor tests (backoff in milliseconds).
-FAST = dict(backoff_seconds=0.01, backoff_jitter=0.1, seed=0)
 
 
 def install_env(monkeypatch, config: ObsConfig) -> None:
@@ -174,7 +172,7 @@ class TestSupervisorObservability:
     def test_successful_batch_spans_attempts(self):
         obs = Observer(trace=True, metrics=True, process="supervisor")
         batch = run_supervised(
-            [SPEC], store=ResultStore(), config=SupervisorConfig(**FAST),
+            [SPEC], store=ResultStore(), config=SupervisorConfig(),
             observer=obs,
         )
         assert not batch.quarantined
@@ -188,21 +186,22 @@ class TestSupervisorObservability:
 
     def test_resumed_tasks_are_annotated(self):
         store = ResultStore()
-        run_supervised([SPEC], store=store, config=SupervisorConfig(**FAST))
+        run_supervised([SPEC], store=store, config=SupervisorConfig())
         obs = Observer(trace=True, metrics=True, process="supervisor")
         run_supervised(
-            [SPEC], store=store, config=SupervisorConfig(**FAST), observer=obs
+            [SPEC], store=store, config=SupervisorConfig(), observer=obs
         )
         names = [e.name for e in obs.tracer.events]
         assert names == ["resumed"]
         assert obs.metrics.counters["repro_supervisor_resumed_total"].value == 1
 
     def test_crash_and_retry_are_annotated(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_SECONDS", 0.01)
         marker = tmp_path / "crash-once"
         monkeypatch.setenv(TEST_FAULT_ENV, f"web-search:exit@{marker}")
         obs = Observer(trace=True, metrics=True, process="supervisor")
         batch = run_supervised(
-            [SPEC], store=ResultStore(), config=SupervisorConfig(**FAST),
+            [SPEC], store=ResultStore(), config=SupervisorConfig(),
             observer=obs,
         )
         assert not batch.quarantined and batch.retried == 1

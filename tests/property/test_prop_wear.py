@@ -1,6 +1,5 @@
 """Property-based tests for Start-Gap wear leveling."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -6,20 +6,13 @@ import pytest
 
 from repro.errors import ServiceError, SimulationError
 from repro.obs import Observer
-from repro.service.breaker import CLOSED, OPEN
+from repro.service import core
+from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.service.core import PlacementService, ServiceConfig
 
 
 def make_service(**kwargs):
-    config_kwargs = {
-        "seed": 7,
-        "breaker_failure_threshold": 3,
-        "breaker_reset_seconds": 1.0,
-        "max_attempts": 2,
-        "backoff_seconds": 0.001,
-    }
-    config_kwargs.update(kwargs.pop("config", {}))
-    return PlacementService(config=ServiceConfig(**config_kwargs), **kwargs)
+    return PlacementService(config=ServiceConfig(seed=7), **kwargs)
 
 
 def feed_profile(service, tenant="t0", pages=4, count=5000):
@@ -92,7 +85,7 @@ class TestFreshDecisions:
 
 class TestTenantGrowth:
     def test_tenant_growing_after_first_decide_stays_fresh(self):
-        service = make_service(config={"max_attempts": 3})
+        service = make_service()
         feed_profile(service, pages=1)
         assert not decide(service, request_id="r1").degraded
         # The engine now exists, sized at the first decide; the tenant
@@ -127,7 +120,7 @@ class TestDegradedServing:
         assert degraded.reason == "engine-error"
         assert degraded.plan == fresh.plan  # last-known-good, not silence
         assert degraded.epoch_index == fresh.epoch_index
-        assert len(calls) == 2  # max_attempts
+        assert len(calls) == core.MAX_ATTEMPTS
 
     def test_degraded_without_cache_is_explicit(self):
         service = make_service()
@@ -146,7 +139,7 @@ class TestDegradedServing:
         service.engine_fault_hook = lambda t, e: (_ for _ in ()).throw(
             SimulationError("down")
         )
-        # threshold=3 consecutive failures; each decide fails twice.
+        # Five consecutive failures trip it; each decide fails three times.
         decide(service, request_id="f1", now=1.0)
         decide(service, request_id="f2", now=1.1)
         assert service.breaker.state == OPEN
@@ -158,7 +151,7 @@ class TestDegradedServing:
         assert service.counters["engine_failures"] == failures_before
 
     def test_breaker_recovers_through_half_open_probes(self):
-        service = make_service(config={"breaker_half_open_successes": 1})
+        service = make_service()
         feed_profile(service)
         decide(service, request_id="warm")
         service.engine_fault_hook = lambda t, e: (_ for _ in ()).throw(
@@ -169,8 +162,12 @@ class TestDegradedServing:
         assert service.breaker.state == OPEN
         service.engine_fault_hook = None  # engine healed
         feed_profile(service)
-        response = decide(service, request_id="probe", now=5.0)
-        assert not response.degraded  # probe went through and closed it
+        response = decide(service, request_id="probe1", now=5.0)
+        assert not response.degraded  # the probe went through
+        assert service.breaker.state == HALF_OPEN
+        feed_profile(service)
+        response = decide(service, request_id="probe2", now=5.1)
+        assert not response.degraded  # a second success closes it
         assert service.breaker.state == CLOSED
 
     def test_stall_blows_deadline(self):
@@ -192,21 +189,17 @@ class TestDegradedServing:
 
 
 class TestPoisonHandling:
-    def test_repeated_engine_failures_quarantine_the_request(self):
+    def test_repeated_engine_failures_quarantine_the_request(self, monkeypatch):
         # High breaker threshold so the poison path (attempts exhausted,
         # not breaker-open) is what answers each retry of the request.
-        service = make_service(
-            config={
-                "poison_request_threshold": 2,
-                "breaker_failure_threshold": 100,
-            }
-        )
+        monkeypatch.setattr(core, "BREAKER_FAILURE_THRESHOLD", 100)
+        service = make_service()
         service.engine_fault_hook = lambda t, e: (_ for _ in ()).throw(
             SimulationError("poison")
         )
-        decide(service, request_id="bad", now=0.0)
-        assert "bad" not in service.quarantined_requests
-        decide(service, request_id="bad", now=10.0)
+        for retry in range(core.POISON_REQUEST_THRESHOLD):
+            assert "bad" not in service.quarantined_requests
+            decide(service, request_id="bad", now=10.0 * retry)
         assert "bad" in service.quarantined_requests
         # Quarantined: answered degraded without touching the engine.
         failures_before = service.counters["engine_failures"]
@@ -215,8 +208,8 @@ class TestPoisonHandling:
         assert service.counters["engine_failures"] == failures_before
 
     def test_corrupt_source_is_quarantined(self):
-        service = make_service(config={"poison_source_threshold": 3})
-        for index in range(3):
+        service = make_service()
+        for index in range(core.POISON_SOURCE_THRESHOLD):
             result = service.ingest_line("garbage", source="peer-1")
         assert result.status == "quarantined-source"
         assert "peer-1" in service.quarantined_sources
@@ -228,13 +221,15 @@ class TestPoisonHandling:
         assert ok.status == "queued"
 
     def test_valid_event_resets_corrupt_streak(self):
-        service = make_service(config={"poison_source_threshold": 2})
-        service.ingest_line("garbage", source="s")
+        service = make_service()
+        for _ in range(core.POISON_SOURCE_THRESHOLD - 1):
+            service.ingest_line("garbage", source="s")
         service.ingest_line(
             json.dumps({"kind": "access", "tenant": "t", "page": 0, "count": 1}),
             source="s",
         )
-        service.ingest_line("garbage", source="s")
+        for _ in range(core.POISON_SOURCE_THRESHOLD - 1):
+            service.ingest_line("garbage", source="s")
         assert "s" not in service.quarantined_sources
 
 
@@ -321,9 +316,10 @@ class TestDurability:
         again = decide(revived, request_id="r2", now=2.0)
         assert again.seq == 2  # reuses the freed sequence number cleanly
 
-    def test_checkpoint_interval(self, tmp_path):
+    def test_checkpoint_interval(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "CHECKPOINT_EVERY", 2)
         wal = str(tmp_path / "wal")
-        service = make_service(wal_dir=wal, config={"checkpoint_every": 2})
+        service = make_service(wal_dir=wal)
         for index in range(4):
             feed_profile(service)
             decide(service, request_id=f"r{index}", now=float(index))

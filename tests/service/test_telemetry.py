@@ -15,11 +15,11 @@ import json
 import pytest
 
 from repro.errors import SimulationError
-from repro.experiments.ext_service import CHAOS_FAULTS
 from repro.obs import NULL_OBSERVER, Observer
 from repro.obs.live import FlightRecorder, deterministic_id
 from repro.obs.metrics import parse_prometheus_text
 from repro.obs.tracer import validate_event
+from repro.service import core
 from repro.service.core import PlacementService, ServiceConfig
 from repro.service.traffic import TrafficConfig, drive
 
@@ -35,17 +35,8 @@ def live_observer(dump_dir=None, label="service", capacity=256):
 
 
 def make_service(observer=None, **kwargs):
-    config_kwargs = {
-        "seed": 7,
-        "breaker_failure_threshold": 3,
-        "breaker_reset_seconds": 1.0,
-        "max_attempts": 2,
-        "backoff_seconds": 0.001,
-    }
-    config_kwargs.update(kwargs.pop("config", {}))
-    return PlacementService(
-        config=ServiceConfig(**config_kwargs), observer=observer, **kwargs
-    )
+    config = ServiceConfig(seed=7, **kwargs.pop("config", {}))
+    return PlacementService(config=config, observer=observer, **kwargs)
 
 
 def feed_profile(service, tenant="t0", pages=4, count=5000, now=0.0):
@@ -132,9 +123,11 @@ class TestDecisionSpanTrees:
         assert by_name["request"].args["outcome"] == "degraded"
         assert by_name["degraded"].args["reason"] == "engine-error"
         assert by_name["degraded"].args["had_cache"] is False
-        # Both failed attempts appear, the retry span covering its backoff.
+        # Every failed attempt appears, a retry span covering its backoff.
         attempts = [s for s in spans_of(observer) if s.name == "attempt"]
-        assert [a.args["attempt"] for a in attempts] == [1, 2]
+        assert [a.args["attempt"] for a in attempts] == list(
+            range(1, core.MAX_ATTEMPTS + 1)
+        )
         assert attempts[0].args["outcome"] == "engine-error"
         assert attempts[0].duration > 0.0  # backoff is virtual time spent
 
@@ -192,11 +185,9 @@ class TestFlightDumps:
         names = [e["name"] for e in payload["entries"]]
         assert "breaker_transition" in names
 
-    def test_request_quarantine_dumps(self, tmp_path):
-        service = make_service(
-            observer=live_observer(dump_dir=tmp_path),
-            config={"poison_request_threshold": 1},
-        )
+    def test_request_quarantine_dumps(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "POISON_REQUEST_THRESHOLD", 1)
+        service = make_service(observer=live_observer(dump_dir=tmp_path))
         service.engine_fault_hook = lambda t, e: (_ for _ in ()).throw(
             SimulationError("down")
         )
@@ -367,7 +358,7 @@ class TestObserverSink:
         service = PlacementService(config=ServiceConfig(seed=3), observer=observer)
         report = drive(
             service,
-            TrafficConfig(seed=3, tenants=3, decisions=60, faults=CHAOS_FAULTS),
+            TrafficConfig(seed=3, tenants=3, decisions=60, chaos=True),
         )
         trace = [event.to_dict() for event in observer.tracer.events]
         assert report.degraded and any(e["cat"] == "fault" for e in trace)

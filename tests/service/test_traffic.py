@@ -9,18 +9,9 @@ import time
 
 import pytest
 
-from repro.faults.service import ServiceFaultConfig
 from repro.service.core import PlacementService, ServiceConfig
 from repro.service.traffic import TrafficConfig, drive, generate_lines
 from repro.service.wal import scan_log, verify_log
-
-CHAOS = ServiceFaultConfig(
-    enabled=True,
-    slow_consumer_rate=0.05,
-    slow_consumer_stall_seconds=0.08,
-    corrupt_event_rate=0.02,
-    clock_stall_rate=0.01,
-)
 
 
 class TestGenerator:
@@ -62,7 +53,7 @@ class TestChaosSoak:
             config=ServiceConfig(seed=11), wal_dir=str(tmp_path / "wal")
         )
         responses = []
-        config = TrafficConfig(seed=11, decisions=120, faults=CHAOS)
+        config = TrafficConfig(seed=11, decisions=120, chaos=True)
         report = drive(service, config, emit=responses.append)
         service.close()
         assert report.decisions == len(responses)
@@ -94,7 +85,7 @@ class TestChaosSoak:
                 wal_dir=str(tmp_path / f"wal-{tag}"),
             )
             report = drive(
-                service, TrafficConfig(seed=11, decisions=60, faults=CHAOS)
+                service, TrafficConfig(seed=11, decisions=60, chaos=True)
             )
             service.close()
             return report.summary()

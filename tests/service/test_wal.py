@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.cache import CachedDecision, DecisionCache
+from repro.service.cache import DecisionCache
 from repro.service.wal import (
     Checkpoint,
     DecisionLog,
