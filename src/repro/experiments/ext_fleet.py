@@ -27,9 +27,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.experiments.common import DEFAULT_SEED
 from repro.fleet import (
+    SCENARIOS,
     FleetConfig,
     FleetSimulation,
     TenantSpec,
@@ -149,6 +150,28 @@ def _check_resilience(scenario: str, scorecard: dict) -> None:
         )
 
 
+def check_run_args(
+    chaos: tuple[str, ...] | None, tenants: int | None, slo: float | None
+) -> None:
+    """Reject out-of-range :func:`run` arguments (``None`` is the default).
+
+    The runner's flag checks too, so the messages name its flags.
+    """
+    if chaos is not None:
+        if not chaos:
+            raise ConfigError("--chaos must name at least one scenario")
+        unknown = [name for name in chaos if name not in SCENARIOS]
+        if unknown:
+            raise ConfigError(
+                f"unknown chaos scenarios: {', '.join(unknown)} "
+                f"(choose from {', '.join(sorted(SCENARIOS))})"
+            )
+    if tenants is not None and tenants < 1:
+        raise ConfigError(f"--tenants must be >= 1 (got {tenants})")
+    if slo is not None and not 0.0 < slo < 1.0:
+        raise ConfigError(f"--slo must be in (0, 1) (got {slo})")
+
+
 def run(
     scale: float = DEFAULT_FLEET_SCALE,
     seed: int = DEFAULT_SEED,
@@ -163,9 +186,10 @@ def run(
     With ``scorecard_dir`` each scenario's scorecard is also written there
     as ``fleet_scorecard_<scenario>.json``.
     """
-    scenarios = chaos or DEFAULT_CHAOS
-    tenants = tenants or DEFAULT_TENANTS
-    slo = slo or DEFAULT_SLO
+    check_run_args(chaos, tenants, slo)
+    scenarios = DEFAULT_CHAOS if chaos is None else chaos
+    tenants = DEFAULT_TENANTS if tenants is None else tenants
+    slo = DEFAULT_SLO if slo is None else slo
     work = [(name, scale, seed, tenants, slo) for name in scenarios]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.experiments import common
 from repro.experiments.common import DEFAULT_SEED
 from repro.metrics.report import format_table
@@ -142,6 +142,15 @@ def _check_robustness(row: dict) -> None:
         )
 
 
+def check_run_args(decisions: int | None) -> None:
+    """Reject an out-of-range :func:`run` argument (``None`` is the default).
+
+    The runner's flag check too, so the message names its flag.
+    """
+    if decisions is not None and decisions < 1:
+        raise ConfigError(f"--service-decisions must be >= 1 (got {decisions})")
+
+
 def run(
     scale: float = 1.0,
     seed: int = DEFAULT_SEED,
@@ -149,7 +158,8 @@ def run(
 ) -> list[dict]:
     """Run both postures; each must pass its robustness gate."""
     del scale  # traffic volume is set by --service-decisions, not --scale
-    decisions = decisions or DEFAULT_DECISIONS
+    check_run_args(decisions)
+    decisions = DEFAULT_DECISIONS if decisions is None else decisions
     rows = [
         _run_posture("clean", seed, decisions, chaos=False),
         _run_posture("chaos", seed, decisions, chaos=True),

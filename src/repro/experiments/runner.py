@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.config import SupervisorConfig
-from repro.errors import QuarantinedTaskError
+from repro.errors import ConfigError, QuarantinedTaskError
 from repro.experiments import common
 from repro.experiments import (
     ext_counting,
@@ -53,7 +53,6 @@ from repro.experiments import (
     table3_migration,
     table4_cost,
 )
-from repro.fleet import SCENARIOS
 from repro.ioutil import atomic_write_text
 
 
@@ -133,22 +132,11 @@ def _extension_flags(
         chaos = tuple(
             name.strip() for name in args.chaos.split(",") if name.strip()
         )
-        if not chaos:
-            parser.error("--chaos must name at least one scenario")
-        unknown = [name for name in chaos if name not in SCENARIOS]
-        if unknown:
-            parser.error(
-                f"unknown chaos scenarios: {', '.join(unknown)} "
-                f"(choose from {', '.join(sorted(SCENARIOS))})"
-            )
-    if args.tenants is not None and args.tenants < 1:
-        parser.error(f"--tenants must be >= 1 (got {args.tenants})")
-    if args.slo is not None and not 0.0 < args.slo < 1.0:
-        parser.error(f"--slo must be in (0, 1) (got {args.slo})")
-    if args.service_decisions is not None and args.service_decisions < 1:
-        parser.error(
-            f"--service-decisions must be >= 1 (got {args.service_decisions})"
-        )
+    try:
+        ext_fleet.check_run_args(chaos, args.tenants, args.slo)
+        ext_service.check_run_args(args.service_decisions)
+    except ConfigError as exc:
+        parser.error(str(exc))
     return {
         "ext-fleet": {
             "chaos": chaos,

@@ -42,7 +42,7 @@ number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,26 +143,71 @@ class IngestedWorkload(Workload):
         return np.zeros(self.total_base_pages)
 
 
+def _add_spread(row: np.ndarray, count: int) -> None:
+    """Spread ``count`` over a 4KB row: ``count // 512`` on every subpage
+    and one more on each of the first ``count % 512``."""
+    whole, remainder = divmod(count, SUBPAGES_PER_HUGE_PAGE)
+    row += whole
+    row[:remainder] += 1
+
+
 @dataclass
 class TenantState:
-    """Everything the service tracks per tenant."""
+    """Everything the service tracks per tenant, its pending profile included."""
 
     name: str
-    num_huge_pages: int
-    #: Accumulated per-4KB access counts since the last decision.
-    pending: np.ndarray
+    #: Accesses per huge page since the last decision; sized to the footprint.
+    totals: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
+    #: 4KB rows of the pages accesses touched since then; any other
+    #: page's row is its total spread by :func:`_add_spread`.
+    rows: dict[int, np.ndarray] = field(default_factory=dict)
     engine: EpochSimulation | None = None
     policy: ThermostatPolicy | None = None
     events_ingested: int = 0
     decisions: int = 0
 
-    def ensure_capacity(self, huge_pages: int) -> None:
-        if huge_pages <= self.num_huge_pages:
-            return
-        grown = np.zeros(huge_pages * SUBPAGES_PER_HUGE_PAGE, dtype=np.int64)
-        grown[: self.pending.size] = self.pending
-        self.pending = grown
-        self.num_huge_pages = huge_pages
+    @property
+    def num_huge_pages(self) -> int:
+        return self.totals.size
+
+    def add_access(self, event: AccessEvent) -> None:
+        """Add an access event's count to its subpage, or spread it over the page."""
+        page = event.page
+        if page >= self.totals.size:
+            self.totals = np.pad(self.totals, (0, page + 1 - self.totals.size))
+        row = self.rows.get(page)
+        if row is None:
+            row = self.rows[page] = np.zeros(SUBPAGES_PER_HUGE_PAGE, dtype=np.int64)
+            _add_spread(row, int(self.totals[page]))
+        if event.subpage is None:
+            _add_spread(row, event.count)
+        else:
+            row[event.subpage] += event.count
+        self.totals[page] += event.count
+        self.events_ingested += 1
+
+    def replace(self, event: SnapshotEvent) -> None:
+        """The snapshot becomes the whole pending profile; pages past it read 0."""
+        counts = np.asarray(event.counts, dtype=np.int64)
+        self.totals = np.pad(counts, (0, max(self.totals.size - counts.size, 0)))
+        self.rows.clear()
+        self.events_ingested += 1
+
+    def take_profile(self, start_time: float, resolve: np.ndarray) -> EpochProfile:
+        """The pending profile with 4KB rows for ``resolve``; empties the store.
+
+        The profile keeps the totals array, so the store starts a new one.
+        """
+        totals = self.totals
+        rows = np.zeros((resolve.size, SUBPAGES_PER_HUGE_PAGE), dtype=np.int64)
+        for k in np.flatnonzero(totals[resolve]).tolist():
+            page = int(resolve[k])
+            if page in self.rows:
+                rows[k] = self.rows[page]
+            else:
+                _add_spread(rows[k], int(totals[page]))
+        self.totals, self.rows = np.zeros_like(totals), {}
+        return EpochProfile.sampled(start_time, EPOCH_SECONDS, totals, resolve, rows)
 
 
 @dataclass(frozen=True)
@@ -394,10 +439,10 @@ class PlacementService:
             return None
         event = item.event
         if isinstance(event, AccessEvent):
-            self._apply_access(event)
+            self._tenant(event.tenant).add_access(event)
             return None
         if isinstance(event, SnapshotEvent):
-            self._apply_snapshot(event)
+            self._tenant(event.tenant).replace(event)
             return None
         if isinstance(event, DecideEvent):
             return self.decide(
@@ -417,51 +462,11 @@ class PlacementService:
                 responses.append(response)
         return responses
 
-    def _tenant(self, name: str, huge_pages: int = 1) -> TenantState:
+    def _tenant(self, name: str) -> TenantState:
         state = self.tenants.get(name)
         if state is None:
-            huge_pages = max(huge_pages, 1)
-            state = TenantState(
-                name=name,
-                num_huge_pages=huge_pages,
-                pending=np.zeros(
-                    huge_pages * SUBPAGES_PER_HUGE_PAGE, dtype=np.int64
-                ),
-            )
-            self.tenants[name] = state
+            state = self.tenants[name] = TenantState(name)
         return state
-
-    def _apply_access(self, event: AccessEvent) -> None:
-        state = self._tenant(event.tenant, event.page + 1)
-        state.ensure_capacity(event.page + 1)
-        base = event.page * SUBPAGES_PER_HUGE_PAGE
-        if event.subpage is not None:
-            state.pending[base + event.subpage] += event.count
-        else:
-            whole, remainder = divmod(event.count, SUBPAGES_PER_HUGE_PAGE)
-            if whole:
-                state.pending[base : base + SUBPAGES_PER_HUGE_PAGE] += whole
-            if remainder:
-                state.pending[base : base + remainder] += 1
-        state.events_ingested += 1
-
-    def _apply_snapshot(self, event: SnapshotEvent) -> None:
-        state = self._tenant(event.tenant, len(event.counts))
-        state.ensure_capacity(len(event.counts))
-        counts = np.asarray(event.counts, dtype=np.int64)
-        whole = counts // SUBPAGES_PER_HUGE_PAGE
-        remainder = counts % SUBPAGES_PER_HUGE_PAGE
-        fresh = np.repeat(whole, SUBPAGES_PER_HUGE_PAGE)
-        offsets = np.arange(counts.size * SUBPAGES_PER_HUGE_PAGE) % (
-            SUBPAGES_PER_HUGE_PAGE
-        )
-        fresh += (offsets < np.repeat(remainder, SUBPAGES_PER_HUGE_PAGE)).astype(
-            np.int64
-        )
-        pending = np.zeros_like(state.pending)
-        pending[: fresh.size] = fresh
-        state.pending = pending
-        state.events_ingested += 1
 
     # ------------------------------------------------------------------
     # Decisions
@@ -635,14 +640,9 @@ class PlacementService:
             engine.start()
             state.engine = engine
             state.policy = policy
-        profile = EpochProfile(
-            start_time=state.engine.clock.now,
-            duration=EPOCH_SECONDS,
-            counts=state.pending,
-            write_fraction=0.1,
-        )
-        state.engine.step(profile=profile)
-        state.pending = np.zeros_like(state.pending)
+        # 4KB rows for the split pages only, the subpage detail the policy reads.
+        split = np.flatnonzero(state.engine.state.split)
+        state.engine.step(profile=state.take_profile(state.engine.clock.now, split))
         state.decisions += 1
         assert state.policy is not None
         return state.policy.last_plan.to_payload(), state.engine.epochs_run - 1

@@ -42,10 +42,12 @@ DEFAULT_PRIORITY = 1
 
 #: Upper bound on a tenant footprint one event may imply, in huge pages.
 #: A corrupt count that slips past JSON parsing must not allocate
-#: gigabytes of profile array: the pending profile costs
-#: 512 int64 subpage slots per huge page, so this cap bounds a single
-#: tenant at 2^14 * 512 * 8 B = 64 MiB (2^20 would have allowed ~4 GiB
-#: from one admitted event).
+#: gigabytes of profile array.  The pending profile keeps one int64 total
+#: per huge page (at most 2^14 * 8 B = 128 KiB per tenant) plus a
+#: 512-slot int64 row (4 KiB) for each page an access touched; one event
+#: creates at most one row.  Even with every page's row held, one tenant
+#: stays within 2^14 * 512 * 8 B = 64 MiB (2^20 would have allowed
+#: ~4 GiB).
 MAX_HUGE_PAGES = 1 << 14
 
 _TENANT_MAX_LEN = 64

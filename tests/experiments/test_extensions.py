@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.experiments import ext_counting, ext_latency, ext_oracle, ext_wear
+from repro.errors import ConfigError
+from repro.experiments import (
+    ext_counting,
+    ext_fleet,
+    ext_latency,
+    ext_oracle,
+    ext_service,
+    ext_wear,
+)
 
 SCALE = 0.03
 SEED = 1
@@ -72,8 +80,6 @@ class TestExtThpTradeoff:
 
 class TestExtService:
     def test_gates_and_determinism(self):
-        from repro.experiments import ext_service
-
         rows = ext_service.run(seed=SEED, decisions=40)
         assert [row["posture"] for row in rows] == ["clean", "chaos"]
         clean, chaos = rows
@@ -107,6 +113,23 @@ class TestRunnerFlags:
             runner_main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("experiment", "kwargs", "message"),
+        [
+            (ext_service, {"decisions": 0}, "--service-decisions must be >= 1 (got 0)"),
+            (ext_fleet, {"tenants": 0}, "--tenants must be >= 1 (got 0)"),
+            (ext_fleet, {"slo": 0.0}, "--slo must be in (0, 1) (got 0.0)"),
+            (ext_fleet, {"chaos": ()}, "--chaos must name at least one scenario"),
+            (ext_fleet, {"chaos": ("nope",)}, "unknown chaos scenarios: nope"),
+        ],
+        ids=["decisions", "tenants", "slo", "no-chaos", "unknown-chaos"],
+    )
+    def test_library_caller_gets_the_same_check(self, experiment, kwargs, message):
+        # Checked before any work starts, so the defaults never run.
+        with pytest.raises(ConfigError) as exc:
+            experiment.run(seed=SEED, **kwargs)
+        assert message in str(exc.value)
 
 
 class TestRunnerIncludesExtensions:

@@ -1,14 +1,25 @@
-"""Placement service core: decisions, degradation, durability, poison."""
+"""Placement service core: decisions, degradation, durability, poison,
+and the sparse pending profile held to the dense one it replaced."""
 
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ServiceError, SimulationError
+from repro.errors import ServiceError, SimulationError, WorkloadError
 from repro.obs import Observer
 from repro.service import core
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.service.core import PlacementService, ServiceConfig
+from repro.service.events import AccessEvent, DecideEvent, SnapshotEvent
+from repro.service.traffic import TrafficConfig, drive
+from repro.service.wal import LOG_NAME
+from repro.sim.engine import EpochSimulation
+from repro.sim.profile import EpochProfile
+from repro.units import SUBPAGES_PER_HUGE_PAGE
 
 
 def make_service(**kwargs):
@@ -63,7 +74,9 @@ class TestFreshDecisions:
         feed_profile(service)
         decide(service, request_id="r1")
         state = service.tenants["t0"]
-        assert int(state.pending.sum()) == 0
+        assert state.rows == {}
+        assert state.totals.size == 4
+        assert not state.totals.any()
 
     def test_tenant_footprint_grows_online(self):
         service = make_service()
@@ -376,3 +389,186 @@ class TestHealthAndMetrics:
             return decide(service).to_payload()
 
         assert run(None) == run(Observer(trace=True, metrics=True))
+
+
+class DenseTenantState(core.TenantState):
+    """A tenant whose pending profile is the dense per-4KB array the
+    sparse store replaced.
+
+    Its rules are the old service code's, verbatim: the tests below hold
+    the store to it, and it stands in for the store in a whole service.
+    """
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.pending = np.zeros(SUBPAGES_PER_HUGE_PAGE, dtype=np.int64)
+
+    @property
+    def num_huge_pages(self):
+        return self.pending.size // SUBPAGES_PER_HUGE_PAGE
+
+    def ensure_capacity(self, huge_pages):
+        if huge_pages <= self.num_huge_pages:
+            return
+        grown = np.zeros(huge_pages * SUBPAGES_PER_HUGE_PAGE, dtype=np.int64)
+        grown[: self.pending.size] = self.pending
+        self.pending = grown
+
+    def add_access(self, event):
+        self.ensure_capacity(event.page + 1)
+        base = event.page * SUBPAGES_PER_HUGE_PAGE
+        if event.subpage is not None:
+            self.pending[base + event.subpage] += event.count
+        else:
+            whole, remainder = divmod(event.count, SUBPAGES_PER_HUGE_PAGE)
+            if whole:
+                self.pending[base : base + SUBPAGES_PER_HUGE_PAGE] += whole
+            if remainder:
+                self.pending[base : base + remainder] += 1
+        self.events_ingested += 1
+
+    def replace(self, event):
+        self.ensure_capacity(len(event.counts))
+        counts = np.asarray(event.counts, dtype=np.int64)
+        whole = counts // SUBPAGES_PER_HUGE_PAGE
+        remainder = counts % SUBPAGES_PER_HUGE_PAGE
+        fresh = np.repeat(whole, SUBPAGES_PER_HUGE_PAGE)
+        offsets = np.arange(counts.size * SUBPAGES_PER_HUGE_PAGE) % (
+            SUBPAGES_PER_HUGE_PAGE
+        )
+        fresh += (offsets < np.repeat(remainder, SUBPAGES_PER_HUGE_PAGE)).astype(
+            np.int64
+        )
+        pending = np.zeros_like(self.pending)
+        pending[: fresh.size] = fresh
+        self.pending = pending
+        self.events_ingested += 1
+
+    def take_profile(self, start_time, resolve=None):
+        profile = EpochProfile(
+            start_time=start_time,
+            duration=core.EPOCH_SECONDS,
+            counts=self.pending,
+            write_fraction=0.1,
+        )
+        self.pending = np.zeros_like(self.pending)
+        return profile
+
+
+TENANTS = ("a", "b")
+# Mostly a few pages, so the sampled ones see accesses; sometimes pages
+# past the footprint, so it grows.
+PAGES = st.integers(0, 7) | st.integers(8, 24)
+# Counts off and on multiples of 512.
+COUNTS = st.integers(0, 2000) | st.sampled_from([1, 511, 512, 513, 1024, 1537])
+EVENTS = st.lists(
+    st.one_of(
+        st.builds(
+            AccessEvent,
+            tenant=st.sampled_from(TENANTS),
+            page=PAGES,
+            count=COUNTS,
+            subpage=st.none() | st.integers(0, SUBPAGES_PER_HUGE_PAGE - 1),
+        ),
+        st.builds(
+            SnapshotEvent,
+            tenant=st.sampled_from(TENANTS),
+            counts=st.lists(COUNTS, min_size=1, max_size=24).map(tuple),
+        ),
+        st.builds(
+            DecideEvent, tenant=st.sampled_from(TENANTS), request_id=st.just("")
+        ),
+    ),
+    max_size=60,
+)
+
+
+def apply(state, event):
+    """Feed one access or snapshot to a tenant's pending profile."""
+    if isinstance(event, AccessEvent):
+        state.add_access(event)
+    else:
+        state.replace(event)
+
+
+class TestSparsePendingProfile:
+    @settings(max_examples=60, deadline=None)
+    @given(events=EVENTS)
+    def test_store_matches_dense_reference(self, events):
+        state = core.TenantState("a")
+        reference = DenseTenantState("a")
+        for event in events:
+            if not isinstance(event, DecideEvent):
+                apply(state, event)
+                apply(reference, event)
+                continue
+            assert state.num_huge_pages == reference.num_huge_pages
+            every = np.arange(state.num_huge_pages)
+            profile = state.take_profile(0.0, every)
+            expected = reference.take_profile(0.0)
+            np.testing.assert_array_equal(profile.huge_counts(), expected.huge_counts())
+            np.testing.assert_array_equal(
+                profile.subpage_rows(every), expected.subpage_counts()
+            )
+            assert state.rows == {}
+            assert not state.totals.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(events=EVENTS)
+    def test_engine_receives_the_reference_profile(self, events):
+        service = make_service()
+        references = {tenant: DenseTenantState(tenant) for tenant in TENANTS}
+        received = []
+        step = EpochSimulation.step
+
+        def spy(engine, profile=None):
+            received.append((profile, np.flatnonzero(engine.state.split)))
+            step(engine, profile=profile)
+
+        with mock.patch.object(EpochSimulation, "step", spy):
+            for index, event in enumerate(events):
+                reference = references[event.tenant]
+                if not isinstance(event, DecideEvent):
+                    service.enqueue(event)
+                    apply(reference, event)
+                    continue
+                service.enqueue(DecideEvent(event.tenant, request_id=f"r{index}"))
+                [response] = service.drain(now=float(index))
+                assert not response.degraded, response.reason
+                # Compared after the decide returns: the profile the
+                # engine was handed must still read what it read then.
+                profile, split = received[-1]
+                expected = reference.take_profile(0.0)
+                np.testing.assert_array_equal(
+                    profile.huge_counts(), expected.huge_counts()
+                )
+                np.testing.assert_array_equal(
+                    profile.subpage_rows(split), expected.subpage_rows(split)
+                )
+                unsplit = np.setdiff1d(np.arange(profile.num_huge_pages), split)
+                if unsplit.size:
+                    with pytest.raises(WorkloadError, match="not resolved"):
+                        profile.subpage_rows(unsplit[:1])
+                state = service.tenants[event.tenant]
+                assert state.num_huge_pages == reference.num_huge_pages
+                assert state.rows == {}
+                assert not state.totals.any()
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+    def test_drive_wal_matches_dense_reference(self, chaos, tmp_path, monkeypatch):
+        config = TrafficConfig(
+            seed=11, tenants=3, huge_pages=64, decisions=120, chaos=chaos
+        )
+
+        def wal_bytes(name):
+            service = PlacementService(
+                config=ServiceConfig(seed=11), wal_dir=str(tmp_path / name)
+            )
+            report = drive(service, config)
+            service.close()
+            assert report.fresh > 0
+            return (tmp_path / name / LOG_NAME).read_bytes()
+
+        sparse = wal_bytes("sparse")
+        monkeypatch.setattr(core, "TenantState", DenseTenantState)
+        assert wal_bytes("dense") == sparse

@@ -44,9 +44,10 @@ class TestParseAccess:
     def test_cap_bounds_a_single_tenant_footprint(self):
         from repro.service.events import MAX_HUGE_PAGES
 
-        # The pending profile costs 512 int64 slots per huge page; the
-        # cap must keep one admitted event's allocation modest (64 MiB),
-        # not merely sub-petabyte.
+        # The pending profile keeps one int64 total per huge page plus
+        # the one 512-slot int64 row an event can create; even with every
+        # page's row held, the cap keeps one tenant modest (64 MiB), not
+        # merely sub-petabyte.
         assert MAX_HUGE_PAGES * 512 * 8 <= 64 * 1024 * 1024
         parse_event(
             _line(kind="access", tenant="t", page=MAX_HUGE_PAGES - 1, count=1)
