@@ -172,17 +172,6 @@ class FaultConfig:
                 f"overhead_spike_seconds must be >= 0: {self.overhead_spike_seconds}"
             )
 
-    @property
-    def any_faults_possible(self) -> bool:
-        """True when the configuration can inject at least one fault."""
-        return self.enabled and (
-            self.migration_failure_rate > 0
-            or self.capacity_exhaustion_rate > 0
-            or self.ue_endurance_writes > 0
-            or self.overhead_spike_rate > 0
-            or self.sample_loss_rate > 0
-        )
-
 
 #: Parent-side slack beyond the scaled worker budget, seconds
 #: (:attr:`SupervisorConfig.parent_timeout`).

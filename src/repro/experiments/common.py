@@ -168,7 +168,7 @@ def finalize_observability() -> dict | None:
     return summary
 
 
-def _run_batch(
+def run_batch(
     specs: list[RunSpec],
     jobs: int = 1,
     store: ResultStore | None = None,
@@ -283,7 +283,7 @@ def run_thermostat(
         seed=seed,
         policy=policy,
     )
-    return _run_batch([spec])[0]
+    return run_batch([spec])[0]
 
 
 def run_suite(
@@ -309,20 +309,5 @@ def run_suite(
         policy=policy,
         durations=durations,
     )
-    results = _run_batch(specs, jobs=jobs, store=store)
+    results = run_batch(specs, jobs=jobs, store=store)
     return dict(zip(WORKLOAD_NAMES, results, strict=True))
-
-
-def prefetch(specs: list[RunSpec], jobs: int = 1) -> None:
-    """Ensure every spec is in the shared store, fanning out if asked.
-
-    Sweep experiments call this first so their existing row-building
-    loops (which go through :func:`run_thermostat`) become pure cache
-    hits regardless of ``jobs``.
-    """
-    _run_batch(specs, jobs=jobs)
-
-
-def clear_run_cache() -> None:
-    """Drop in-process cached results (a disk cache dir, if set, survives)."""
-    _STORE.clear_memory()

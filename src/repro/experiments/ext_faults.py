@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import FaultConfig
-from repro.experiments.common import DEFAULT_SCALE, DEFAULT_SEED, get_store
-from repro.experiments.parallel import RunSpec, run_many
+from repro.experiments.common import DEFAULT_SCALE, DEFAULT_SEED, run_batch
+from repro.experiments.parallel import RunSpec
 from repro.metrics.report import format_table
 
 #: Transient migration-failure probabilities swept per batch attempt.
@@ -72,7 +72,7 @@ def run(
         )
         for rate in failure_rates
     ]
-    results = run_many(specs, jobs=jobs, store=get_store())
+    results = run_batch(specs, jobs=jobs)
     rows = []
     for rate, result in zip(failure_rates, results, strict=True):
         summary = result.fault_summary()

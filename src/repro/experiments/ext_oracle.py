@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from repro.experiments.common import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
-    prefetch,
-    run_thermostat,
+    run_batch,
     suite_spec,
 )
 from repro.metrics.report import format_table
@@ -45,7 +44,7 @@ def run(
     scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = 1
 ) -> list[OracleGapRow]:
     """Run Thermostat and the oracle on every suite workload."""
-    prefetch(
+    results = run_batch(
         [
             suite_spec(name, scale=scale, seed=seed, policy=policy)
             for name in WORKLOAD_NAMES
@@ -53,20 +52,18 @@ def run(
         ],
         jobs=jobs,
     )
-    rows = []
-    for name in WORKLOAD_NAMES:
-        thermostat = run_thermostat(name, scale=scale, seed=seed)
-        oracle = run_thermostat(name, scale=scale, seed=seed, policy="oracle")
-        rows.append(
-            OracleGapRow(
-                workload=name,
-                thermostat_cold=thermostat.final_cold_fraction,
-                oracle_cold=oracle.final_cold_fraction,
-                thermostat_slowdown=thermostat.average_slowdown,
-                oracle_slowdown=oracle.average_slowdown,
-            )
+    return [
+        OracleGapRow(
+            workload=name,
+            thermostat_cold=thermostat.final_cold_fraction,
+            oracle_cold=oracle.final_cold_fraction,
+            thermostat_slowdown=thermostat.average_slowdown,
+            oracle_slowdown=oracle.average_slowdown,
         )
-    return rows
+        for name, thermostat, oracle in zip(
+            WORKLOAD_NAMES, results[::2], results[1::2], strict=True
+        )
+    ]
 
 
 def render(rows: list[OracleGapRow]) -> str:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from repro.experiments.common import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
-    prefetch,
-    run_thermostat,
+    run_batch,
     suite_spec,
 )
 from repro.metrics.report import format_table
@@ -54,29 +53,23 @@ def run(
     The 6x3 grid of independent runs is the suite's widest fan-out;
     ``jobs > 1`` simulates the grid in parallel with identical results.
     """
-    prefetch(
+    grid = [(name, target) for name in WORKLOAD_NAMES for target in targets]
+    results = run_batch(
         [
             suite_spec(name, tolerable_slowdown=target, scale=scale, seed=seed)
-            for name in WORKLOAD_NAMES
-            for target in targets
+            for name, target in grid
         ],
         jobs=jobs,
     )
-    cells = []
-    for name in WORKLOAD_NAMES:
-        for target in targets:
-            result = run_thermostat(
-                name, tolerable_slowdown=target, scale=scale, seed=seed
-            )
-            cells.append(
-                SweepCell(
-                    workload=name,
-                    tolerable_slowdown=target,
-                    cold_fraction=result.final_cold_fraction,
-                    achieved_slowdown=result.average_slowdown,
-                )
-            )
-    return cells
+    return [
+        SweepCell(
+            workload=name,
+            tolerable_slowdown=target,
+            cold_fraction=result.final_cold_fraction,
+            achieved_slowdown=result.average_slowdown,
+        )
+        for (name, target), result in zip(grid, results, strict=True)
+    ]
 
 
 def by_workload(cells: list[SweepCell]) -> dict[str, list[SweepCell]]:

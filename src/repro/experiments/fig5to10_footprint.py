@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from repro.experiments.common import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
-    prefetch,
-    run_thermostat,
+    run_batch,
     suite_spec,
 )
 from repro.metrics.report import format_figure_series, format_table
@@ -70,28 +69,25 @@ class FootprintFigure:
         return float((ts4k[mask] / total[mask]).mean())
 
 
-def run_one(
-    name: str, scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED
-) -> FootprintFigure:
-    """Reproduce one footprint figure."""
-    figure, cold_range, degradation = FIGURES[name]
-    return FootprintFigure(
-        workload=name,
-        figure=figure,
-        result=run_thermostat(name, scale=scale, seed=seed),
-        paper_cold_range=cold_range,
-        paper_degradation=degradation,
-    )
-
-
 def run(
     scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = 1
 ) -> list[FootprintFigure]:
     """All six footprint figures (``jobs > 1`` simulates them in parallel)."""
-    prefetch(
+    results = run_batch(
         [suite_spec(name, scale=scale, seed=seed) for name in FIGURES], jobs=jobs
     )
-    return [run_one(name, scale, seed) for name in FIGURES]
+    return [
+        FootprintFigure(
+            workload=name,
+            figure=figure,
+            result=result,
+            paper_cold_range=cold_range,
+            paper_degradation=degradation,
+        )
+        for (name, (figure, cold_range, degradation)), result in zip(
+            FIGURES.items(), results, strict=True
+        )
+    ]
 
 
 def render(fig: FootprintFigure) -> str:

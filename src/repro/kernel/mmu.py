@@ -159,29 +159,6 @@ class AddressSpace:
         self.page_table.map_base(base_vpn, frame)
         self._node_of_base[base_vpn] = node
 
-    def munmap(self, start: VirtualAddress) -> None:
-        """Tear down the VMA starting at ``start`` and all its pages."""
-        vma = self.vmas.remove(start)
-        cursor = vma.start
-        while cursor < vma.end:
-            base_vpn = page_number(cursor, BASE_PAGE_SHIFT)
-            huge_vpn = base_to_huge(base_vpn)
-            if self.page_table.lookup_huge(huge_vpn) is not None:
-                entry = self.page_table.unmap_huge(huge_vpn)
-                node = self._node_of_huge.pop(huge_vpn)
-                self.topology.node(node).tier.free_huge(
-                    entry.frame << (HUGE_PAGE_SHIFT - BASE_PAGE_SHIFT)
-                )
-                self.tlb.invalidate(huge_vpn, huge=True)
-                cursor += HUGE_PAGE_SIZE
-                continue
-            if self.page_table.lookup_base(base_vpn) is not None:
-                entry = self.page_table.unmap_base(base_vpn)
-                node = self._node_of_base.pop(base_vpn)
-                self.topology.node(node).tier.free_base(entry.frame)
-                self.tlb.invalidate(base_vpn, huge=False)
-            cursor += BASE_PAGE_SIZE
-
     def _handle_not_mapped(self, context: FaultContext) -> float:
         """Demand-paging fault: map the page if a VMA covers it."""
         vma = self.vmas.find(context.address)

@@ -266,11 +266,6 @@ class PageTable:
             len(self._huge) << HUGE_PAGE_SHIFT
         )
 
-    def subpage_entries(self, huge_vpn: PageNumber) -> list[PageTableEntry | None]:
-        """Return the 512 subpage entries of a split 2MB region (None = hole)."""
-        first = huge_to_base(huge_vpn)
-        return [self._base.get(first + off) for off in range(SUBPAGES_PER_HUGE_PAGE)]
-
 
 __all__ = [
     "PageTable",

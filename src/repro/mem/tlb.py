@@ -168,12 +168,6 @@ class TlbHierarchy:
         l1.invalidate(vpn)
         self.l2.invalidate(vpn | self._HUGE_TAG if huge else vpn)
 
-    def flush_all(self) -> None:
-        """Full flush of every level."""
-        self.l1_4k.flush()
-        self.l1_2m.flush()
-        self.l2.flush()
-
     def miss_rate(self) -> float:
         """Overall fraction of accesses that needed a page walk."""
         lookups = self.l1_4k.hits + self.l1_4k.misses + self.l1_2m.hits + self.l1_2m.misses

@@ -233,14 +233,6 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
 
-def merge_snapshots(snapshots: Iterable[Mapping]) -> MetricsRegistry:
-    """Build one registry from many snapshots (callers pre-sort for gauges)."""
-    registry = MetricsRegistry()
-    for snapshot in snapshots:
-        registry.merge_snapshot(snapshot)
-    return registry
-
-
 def _fmt(value: float) -> str:
     """Render a float the shortest way that round-trips (ints unpadded).
 

@@ -14,8 +14,7 @@ Robustness stack (see DESIGN.md "Online placement service"):
 * circuit breaker around the policy engine
   (:mod:`repro.service.breaker`);
 * per-request deadlines with seeded-jitter retries and degraded
-  last-known-good serving (:mod:`repro.service.core`,
-  :mod:`repro.service.cache`);
+  last-known-good serving (:mod:`repro.service.core`);
 * write-ahead durability of acked decisions — ``kill -9`` plus
   ``--resume`` loses nothing acked and never double-acks
   (:mod:`repro.service.wal`);
@@ -27,7 +26,6 @@ Entry point: ``python -m repro.service`` (see
 """
 
 from repro.service.breaker import CircuitBreaker
-from repro.service.cache import CachedDecision, DecisionCache
 from repro.service.core import PlacementService, ServiceConfig
 from repro.service.events import (
     AccessEvent,
@@ -39,7 +37,13 @@ from repro.service.events import (
 )
 from repro.service.queue import BoundedIngressQueue
 from repro.service.traffic import TrafficConfig, TrafficReport, drive
-from repro.service.wal import Checkpoint, DecisionLog, recover, verify_log
+from repro.service.wal import (
+    CachedDecision,
+    Checkpoint,
+    DecisionLog,
+    recover,
+    verify_log,
+)
 
 __all__ = [
     "AccessEvent",
@@ -48,7 +52,6 @@ __all__ = [
     "Checkpoint",
     "CircuitBreaker",
     "DecideEvent",
-    "DecisionCache",
     "DecisionLog",
     "DecisionResponse",
     "IngressEvent",

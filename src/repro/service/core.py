@@ -11,13 +11,15 @@ machines driven by ``now`` floats the shell supplies:
 * per-request deadlines with seeded-jitter retry backoff (the backoff
   stream is a named child RNG, so retry schedules replay bit-identically
   under a fixed seed);
-* a :class:`~repro.service.cache.DecisionCache` for degraded serving —
-  breaker open or deadline blown answers with the last-known-good plan,
-  always flagged ``degraded=true`` and never acked;
+* one ack index: each acked decision under its request id, and each
+  tenant's newest one for degraded serving — breaker open or deadline
+  blown answers with that last-known-good plan, always flagged
+  ``degraded=true`` and never acked;
 * write-ahead durability (:mod:`repro.service.wal`): fresh decisions are
   fsynced to the acked-decision log *before* the ack exists, and restart
-  with ``resume=True`` replays the log so already-acked requests are
-  answered idempotently — zero lost acks, zero duplicate acks;
+  with ``resume=True`` rebuilds the ack index from the log so
+  already-acked requests are answered idempotently — zero lost acks,
+  zero duplicate acks;
 * poison handling in the PR-4 supervisor's spirit: corrupt events are
   rejected at parse (repeated poison from one source quarantines the
   source) and a request that keeps crashing the engine is quarantined
@@ -53,10 +55,9 @@ from repro.mem.numa import NumaTopology
 from repro.mem.tiers import TierSpec
 from repro.obs import NULL_OBSERVER
 from repro.obs.live import RequestTrace, deterministic_id
-from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
+from repro.obs.metrics import SECONDS_BUCKETS, MetricHistogram, MetricsRegistry
 from repro.rng import child_rng, make_rng, retry_delay
 from repro.service.breaker import OPEN, CircuitBreaker
-from repro.service.cache import CachedDecision, DecisionCache
 from repro.service.events import (
     MAX_HUGE_PAGES,
     AccessEvent,
@@ -70,6 +71,7 @@ from repro.service.events import (
 )
 from repro.service.queue import BoundedIngressQueue
 from repro.service.wal import (
+    CachedDecision,
     Checkpoint,
     DecisionLog,
     recover,
@@ -163,8 +165,6 @@ class TenantState:
     rows: dict[int, np.ndarray] = field(default_factory=dict)
     engine: EpochSimulation | None = None
     policy: ThermostatPolicy | None = None
-    events_ingested: int = 0
-    decisions: int = 0
 
     @property
     def num_huge_pages(self) -> int:
@@ -184,14 +184,12 @@ class TenantState:
         else:
             row[event.subpage] += event.count
         self.totals[page] += event.count
-        self.events_ingested += 1
 
     def replace(self, event: SnapshotEvent) -> None:
         """The snapshot becomes the whole pending profile; pages past it read 0."""
         counts = np.asarray(event.counts, dtype=np.int64)
         self.totals = np.pad(counts, (0, max(self.totals.size - counts.size, 0)))
         self.rows.clear()
-        self.events_ingested += 1
 
     def take_profile(self, start_time: float, resolve: np.ndarray) -> EpochProfile:
         """The pending profile with 4KB rows for ``resolve``; empties the store.
@@ -215,7 +213,6 @@ class IngestResult:
     """What happened to one ingested line."""
 
     status: str  # "queued" | "shed" | "rejected" | "quarantined-source"
-    event: IngressEvent | None = None
     error: str = ""
 
 
@@ -246,18 +243,18 @@ class PlacementService:
             reset_timeout=BREAKER_RESET_SECONDS,
             half_open_successes=BREAKER_HALF_OPEN_SUCCESSES,
         )
-        self.cache = DecisionCache()
         self.tenants: dict[str, TenantState] = {}
         self._retry_rng = child_rng(make_rng(self.config.seed), "service:retry")
         # Durability.
         self.wal_dir = wal_dir
         self.log: DecisionLog | None = None
         self.seq = 0
-        self.acked: dict[str, int] = {}
-        #: request_id → the decision actually recorded under its ack, so
-        #: idempotent replays return that plan verbatim (the tenant's
-        #: DecisionCache entry may already belong to a newer decision).
-        self.acked_records: dict[str, CachedDecision] = {}
+        #: The ack index.  request_id → the decision acked under it, so an
+        #: idempotent replay returns that plan verbatim ...
+        self.acked: dict[str, CachedDecision] = {}
+        #: ... and tenant → its newest acked decision, the last-known-good
+        #: plan degraded serving answers with.
+        self.last_good: dict[str, CachedDecision] = {}
         self.ingest_lines = 0
         self._acks_since_checkpoint = 0
         # Poison tracking.
@@ -289,58 +286,54 @@ class PlacementService:
         #: Virtual latency of every answered decision, seconds (for the
         #: p50/p99 numbers in reports; bounded soaks keep this small).
         self.latencies: list[float] = []
+        #: The same latencies bucketed for ``/metrics``, one observation
+        #: per decision.
+        self.latency_histogram = MetricHistogram(
+            "repro_service_decision_latency_seconds", SECONDS_BUCKETS
+        )
         #: Test/chaos hook: called as ``hook(tenant_name, epoch_index)``
         #: immediately before each engine step; raising a
         #: :class:`ReproError` simulates an engine fault.  Never set in
         #: production paths.
         self.engine_fault_hook = None
         if wal_dir is not None:
-            if resume:
-                self._recover(wal_dir)
-            else:
-                log_path = DecisionLog(wal_dir).path
-                existing = scan_log(log_path)
-                if existing.records:
-                    raise ServiceError(
-                        f"WAL directory {wal_dir!r} already holds "
-                        f"{len(existing.records)} acked decision(s); pass "
-                        "resume=True (--resume) to continue it"
-                    )
-                if existing.torn_tail:
-                    # A crash during the first-ever append left only a
-                    # torn line.  Drop it before opening for append, or
-                    # the first new record would concatenate onto the
-                    # partial bytes and a later recover() would truncate
-                    # every ack recorded after this fresh start.
-                    truncate_torn_tail(log_path, existing.intact_bytes)
-            self.log = DecisionLog(wal_dir)
+            self._open_log(wal_dir, resume)
 
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
+    def _open_log(self, wal_dir: str, resume: bool) -> None:
+        """Scan the log once: refuse acks unless resuming, adopt them if
+        resuming, and drop a torn (never-acked) tail before appending.
 
-    def _recover(self, wal_dir: str) -> None:
-        state = recover(wal_dir)
-        if state.torn_tail:
-            # Drop the torn (never-acked) tail so appends never land on
-            # the same line as partial bytes from the crashed process.
-            truncate_torn_tail(DecisionLog(wal_dir).path, state.intact_bytes)
-        self.seq = state.last_seq
-        self.acked = dict(state.acked)
-        self.acked_records = dict(state.acked_records)
-        self.cache.restore(state.decisions)
-        self.ingest_lines = state.checkpoint.ingest_lines
-        obs = self.observer
-        if obs.active:
-            obs.emit(
-                "service",
-                "recovered",
-                0.0,
-                acked=len(self.acked),
-                last_seq=self.seq,
-                torn_tail=state.torn_tail,
-                log_ahead_of_checkpoint=state.log_ahead_of_checkpoint,
+        A fresh start reads only the log, never ``checkpoint.json``.
+        """
+        log = DecisionLog(wal_dir)
+        scan = scan_log(log.path)
+        if scan.records and not resume:
+            raise ServiceError(
+                f"WAL directory {wal_dir!r} already holds "
+                f"{len(scan.records)} acked decision(s); pass "
+                "resume=True (--resume) to continue it"
             )
+        if resume:
+            state = recover(wal_dir, scan)
+            self.seq = state.last_seq
+            self.acked, self.last_good = state.acked, state.last_good
+            self.ingest_lines = state.checkpoint.ingest_lines
+            if self.observer.active:
+                self.observer.emit(
+                    "service",
+                    "recovered",
+                    0.0,
+                    acked=len(self.acked),
+                    last_seq=self.seq,
+                    torn_tail=state.torn_tail,
+                    log_ahead_of_checkpoint=state.log_ahead_of_checkpoint,
+                )
+        if scan.torn_tail:
+            # Appends must never land on the same line as partial bytes
+            # from a crashed process: a later recovery would stop there
+            # and drop every ack recorded after this start.
+            truncate_torn_tail(log.path, scan.intact_bytes)
+        self.log = log
 
     # ------------------------------------------------------------------
     # Ingest
@@ -384,9 +377,7 @@ class PlacementService:
         shed = self.queue.push(event, event.priority, now=now)
         self.counters["shed_total"] += len(shed)
         if self.observer.active:
-            self.observer.inc("repro_service_events_total")
             for item in shed:
-                self.observer.inc("repro_service_shed_total")
                 self.observer.emit(
                     "service",
                     "shed",
@@ -412,9 +403,8 @@ class PlacementService:
                         "shed", start=now, parent=root, priority=item.priority
                     )
                     self._emit_trace(trace)
-        if shed and shed[0].event is event:
-            return IngestResult(status="shed", event=event)
-        return IngestResult(status="queued", event=event)
+        was_shed = bool(shed) and shed[0].event is event
+        return IngestResult(status="shed" if was_shed else "queued")
 
     @property
     def should_backpressure(self) -> bool:
@@ -489,31 +479,52 @@ class PlacementService:
         # Engine-attempt spans, collected only when observed (None
         # doubles as the "no tracing" flag for _finish).
         attempts: list[dict] | None = [] if self.observer.active else None
-        # Idempotent replay: an already-acked request gets its recorded
-        # ack back without touching the engine or the log.
-        recorded = self.acked.get(event.request_id)
-        if recorded is not None:
+        reason, latency = "", 0.0
+        # Idempotent replay: an already-acked request gets the decision
+        # recorded under its ack back, without touching the engine or the
+        # log (the tenant may have a newer plan since).
+        decision = self.acked.get(event.request_id)
+        if decision is not None:
             self.counters["idempotent_acks"] += 1
-            # Answer with the decision recorded under *this* seq — the
-            # tenant's cache entry may already carry a newer plan, and a
-            # replayed ack must come back verbatim.
-            record = self.acked_records.get(event.request_id)
-            response = DecisionResponse(
-                tenant=event.tenant,
-                request_id=event.request_id,
-                degraded=False,
-                seq=recorded,
-                reason="",
-                plan=record.plan if record is not None else {},
-                epoch_index=record.epoch_index if record is not None else -1,
+        elif event.request_id in self.quarantined_requests:
+            reason = "quarantined"
+        else:
+            decision, reason, latency = self._run_engine(
+                event, now, stall_seconds, attempts
             )
-            self._finish(response, now, queued_at=queued_at, attempts=attempts)
-            return response
-        if event.request_id in self.quarantined_requests:
-            response = self._degraded(event, now, 0.0, "quarantined")
-            self._finish(response, now, queued_at=queued_at, attempts=attempts)
-            return response
+        if reason:
+            # Serve last-known-good, flagged — never silently stale.
+            self.counters["decisions_degraded"] += 1
+            by_reason = self.degraded_by_reason
+            by_reason[reason] = by_reason.get(reason, 0) + 1
+            decision = self.last_good.get(event.tenant)
+            if decision is None:
+                self.counters["degraded_no_cache"] += 1
+        response = DecisionResponse(
+            tenant=event.tenant,
+            request_id=event.request_id,
+            degraded=bool(reason),
+            seq=decision.seq if decision is not None and not reason else None,
+            reason=reason,
+            plan=decision.plan if decision is not None else {},
+            epoch_index=decision.epoch_index if decision is not None else -1,
+            latency_seconds=latency,
+        )
+        self._finish(response, now, queued_at, attempts)
+        return response
 
+    def _run_engine(
+        self,
+        event: DecideEvent,
+        now: float,
+        stall_seconds: float,
+        attempts: list[dict] | None,
+    ) -> tuple[CachedDecision | None, str, float]:
+        """Step the tenant's engine under deadline, breaker and retries.
+
+        Returns the acked decision (or ``None``), the degraded reason
+        (``""`` when acked) and the request's virtual latency.
+        """
         deadline = now + (
             event.deadline_seconds
             if event.deadline_seconds is not None
@@ -521,83 +532,64 @@ class PlacementService:
         )
         virtual_now = now + stall_seconds
         attempt = 0
-        failure: str | None = None
         while True:
             if virtual_now > deadline:
                 self.breaker.record_failure(virtual_now)
-                failure = "deadline"
-                break
+                return None, "deadline", virtual_now - now
             if not self.breaker.allow(virtual_now):
-                failure = "breaker-open"
-                break
+                return None, "breaker-open", virtual_now - now
             attempt += 1
             attempt_start = virtual_now
             try:
                 plan, epoch_index = self._engine_step(event.tenant)
             except ReproError:
+                outcome = "engine-error"
                 self.counters["engine_failures"] += 1
                 self.breaker.record_failure(virtual_now)
-                if attempt >= MAX_ATTEMPTS:
-                    if attempts is not None:
-                        attempts.append(
-                            {
-                                "attempt": attempt,
-                                "start": attempt_start,
-                                "dur": 0.0,
-                                "outcome": "engine-error",
-                            }
-                        )
-                    failures = self.request_failures.get(event.request_id, 0) + 1
-                    self.request_failures[event.request_id] = failures
-                    if failures >= POISON_REQUEST_THRESHOLD:
-                        self.quarantined_requests.add(event.request_id)
-                        self.counters["quarantined_requests"] += 1
-                        if self.observer.active:
-                            self.observer.emit(
-                                "service",
-                                "request_quarantined",
-                                virtual_now,
-                                request_id=event.request_id,
-                                tenant=event.tenant,
-                            )
-                            self.observer.dump("quarantine", virtual_now)
-                    failure = "engine-error"
-                    break
-                self.counters["retries"] += 1
-                virtual_now += retry_delay(
-                    BACKOFF_SECONDS,
-                    attempt,
-                    float(self._retry_rng.random()) * BACKOFF_JITTER,
-                )
-                if attempts is not None:
+                if attempt < MAX_ATTEMPTS:
+                    self.counters["retries"] += 1
                     # The attempt span covers its backoff: virtual time
                     # the failure cost this request.
-                    attempts.append(
-                        {
-                            "attempt": attempt,
-                            "start": attempt_start,
-                            "dur": virtual_now - attempt_start,
-                            "outcome": "engine-error",
-                        }
+                    virtual_now += retry_delay(
+                        BACKOFF_SECONDS,
+                        attempt,
+                        float(self._retry_rng.random()) * BACKOFF_JITTER,
                     )
-                continue
-            self.breaker.record_success(virtual_now)
+                else:
+                    self._count_request_failure(event, virtual_now)
+            else:
+                outcome = "ok"
+                self.breaker.record_success(virtual_now)
             if attempts is not None:
                 attempts.append(
                     {
                         "attempt": attempt,
                         "start": attempt_start,
                         "dur": virtual_now - attempt_start,
-                        "outcome": "ok",
+                        "outcome": outcome,
                     }
                 )
-            response = self._ack(event, plan, epoch_index, virtual_now - now)
-            self._finish(response, now, queued_at=queued_at, attempts=attempts)
-            return response
+            if outcome == "ok":
+                return self._ack(event, plan, epoch_index), "", virtual_now - now
+            if attempt >= MAX_ATTEMPTS:
+                return None, "engine-error", virtual_now - now
 
-        response = self._degraded(event, now, virtual_now - now, failure)
-        self._finish(response, now, queued_at=queued_at, attempts=attempts)
-        return response
+    def _count_request_failure(self, event: DecideEvent, now: float) -> None:
+        """Count one exhausted request; repeated ones are quarantined."""
+        failures = self.request_failures.get(event.request_id, 0) + 1
+        self.request_failures[event.request_id] = failures
+        if failures >= POISON_REQUEST_THRESHOLD:
+            self.quarantined_requests.add(event.request_id)
+            self.counters["quarantined_requests"] += 1
+            if self.observer.active:
+                self.observer.emit(
+                    "service",
+                    "request_quarantined",
+                    now,
+                    request_id=event.request_id,
+                    tenant=event.tenant,
+                )
+                self.observer.dump("quarantine", now)
 
     def _apply_control(self, event: ControlEvent, now: float) -> None:
         """Apply one control-plane instruction (flight dump, checkpoint)."""
@@ -631,7 +623,6 @@ class PlacementService:
                     duration=EPOCH_SECONDS * 1_000_000,
                     epoch=EPOCH_SECONDS,
                     seed=self.config.seed,
-                    stochastic=False,
                 ),
                 topology=NumaTopology(
                     fast=TierSpec.dram(capacity), slow=TierSpec.slow(capacity)
@@ -643,94 +634,47 @@ class PlacementService:
         # 4KB rows for the split pages only, the subpage detail the policy reads.
         split = np.flatnonzero(state.engine.state.split)
         state.engine.step(profile=state.take_profile(state.engine.clock.now, split))
-        state.decisions += 1
         assert state.policy is not None
         return state.policy.last_plan.to_payload(), state.engine.epochs_run - 1
 
     def _ack(
-        self,
-        event: DecideEvent,
-        plan: dict,
-        epoch_index: int,
-        latency: float,
-    ) -> DecisionResponse:
-        """Durably record and ack one fresh decision (WAL before ack)."""
+        self, event: DecideEvent, plan: dict, epoch_index: int
+    ) -> CachedDecision:
+        """Durably record one fresh decision (WAL before ack), then index it."""
         self.seq += 1
-        seq = self.seq
-        record = {
-            "seq": seq,
-            "tenant": event.tenant,
-            "request_id": event.request_id,
-            "epoch_index": epoch_index,
-            "plan": plan,
-        }
+        decision = CachedDecision(
+            tenant=event.tenant, seq=self.seq, epoch_index=epoch_index, plan=plan
+        )
         if self.log is not None:
-            self.log.append(record)
+            self.log.append(
+                {
+                    "seq": self.seq,
+                    "tenant": event.tenant,
+                    "request_id": event.request_id,
+                    "epoch_index": epoch_index,
+                    "plan": plan,
+                }
+            )
+        self.acked[event.request_id] = self.last_good[event.tenant] = decision
+        self.counters["decisions_fresh"] += 1
+        if self.log is not None:
             self._acks_since_checkpoint += 1
             if self._acks_since_checkpoint >= CHECKPOINT_EVERY:
                 self.checkpoint()
-        self.acked[event.request_id] = seq
-        decision = CachedDecision(
-            tenant=event.tenant, seq=seq, epoch_index=epoch_index, plan=plan
-        )
-        self.acked_records[event.request_id] = decision
-        self.cache.put(decision)
-        self.counters["decisions_fresh"] += 1
-        return DecisionResponse(
-            tenant=event.tenant,
-            request_id=event.request_id,
-            degraded=False,
-            seq=seq,
-            reason="",
-            plan=plan,
-            epoch_index=epoch_index,
-            latency_seconds=latency,
-        )
-
-    def _degraded(
-        self, event: DecideEvent, now: float, latency: float, reason: str
-    ) -> DecisionResponse:
-        """Serve last-known-good, flagged — never silently stale."""
-        self.counters["decisions_degraded"] += 1
-        key = reason or "unknown"
-        self.degraded_by_reason[key] = self.degraded_by_reason.get(key, 0) + 1
-        cached = self.cache.get(event.tenant)
-        if cached is None:
-            self.counters["degraded_no_cache"] += 1
-        return DecisionResponse(
-            tenant=event.tenant,
-            request_id=event.request_id,
-            degraded=True,
-            seq=None,
-            reason=reason or "unknown",
-            plan=cached.plan if cached is not None else {},
-            epoch_index=cached.epoch_index if cached is not None else -1,
-            latency_seconds=latency,
-        )
+        return decision
 
     def _finish(
         self,
         response: DecisionResponse,
         now: float,
-        queued_at: float | None = None,
-        attempts: list[dict] | None = None,
+        queued_at: float | None,
+        attempts: list[dict] | None,
     ) -> None:
+        """Account one answered decision; emit its events and span tree."""
         self.latencies.append(response.latency_seconds)
+        self.latency_histogram.observe(response.latency_seconds)
         obs = self.observer
         if obs.active:
-            obs.inc("repro_service_decisions_total")
-            if response.degraded:
-                obs.inc("repro_service_decisions_degraded_total")
-            obs.observe(
-                "repro_service_decision_latency_seconds",
-                response.latency_seconds,
-                SECONDS_BUCKETS,
-            )
-            obs.set_gauge("repro_service_queue_depth", float(self.queue.depth))
-            obs.set_gauge(
-                "repro_service_breaker_open",
-                1.0 if self.breaker.state == OPEN else 0.0,
-            )
             obs.emit(
                 "service",
                 "decision",
@@ -901,11 +845,11 @@ class PlacementService:
         """The live ``repro_service_*`` registry behind ``/metrics``.
 
         With an observer that keeps metrics this refreshes (and returns)
-        its registry, so span/latency histograms ride along; otherwise a
-        transient registry is built from the authoritative service
-        counters.  Either way the service counters are *set* (not
-        incremented) — the service is the source of truth, the scrape
-        just mirrors it, and repeated scrapes are idempotent.
+        its registry, so the observer's own series ride along; otherwise
+        a transient registry is built.  Either way the service is the only
+        writer of its series: counters and gauges are *set* from its
+        state and the latency histogram is the service's own, so repeated
+        scrapes are idempotent.
         """
         shared = self.observer.metrics
         registry = shared if shared is not None else MetricsRegistry()
@@ -938,13 +882,7 @@ class PlacementService:
             float(self._acks_since_checkpoint)
         )
         registry.gauge("repro_service_tenants").set(float(len(self.tenants)))
-        if shared is None:
-            # No incrementally maintained histogram to share — rebuild the
-            # latency histogram from scratch (registry is transient, so
-            # repeated scrapes never double-count).
-            registry.histogram(
-                "repro_service_decision_latency_seconds", SECONDS_BUCKETS
-            ).extend(list(self.latencies))
+        registry.histograms[self.latency_histogram.name] = self.latency_histogram
         return registry
 
     def statusz(self, now: float = 0.0) -> dict:

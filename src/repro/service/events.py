@@ -50,6 +50,14 @@ DEFAULT_PRIORITY = 1
 #: ~4 GiB).
 MAX_HUGE_PAGES = 1 << 14
 
+#: Upper bound on the access count one event may carry (per access event,
+#: per snapshot entry).  The pending profile sums counts into int64 per
+#: page, so a larger count would overflow on arrival (a Python int past
+#: 2^63 cannot be stored) or wrap a running total negative.  At this
+#: bound it takes 2^31 events to one page between two decides to reach
+#: 2^63.
+MAX_EVENT_COUNT = 1 << 32
+
 _TENANT_MAX_LEN = 64
 
 
@@ -155,6 +163,11 @@ class DecisionResponse:
         }
 
 
+# Numeric fields test their exact type (``type(value) is int``): JSON
+# ``true`` and ``false`` decode to bools, which ``isinstance(value, int)``
+# would admit.
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise EventValidationError(message)
@@ -173,7 +186,7 @@ def _parse_tenant(data: dict) -> str:
 def _parse_priority(data: dict) -> int:
     priority = data.get("priority", DEFAULT_PRIORITY)
     _require(
-        isinstance(priority, int) and PRIORITY_MIN <= priority <= PRIORITY_MAX,
+        type(priority) is int and PRIORITY_MIN <= priority <= PRIORITY_MAX,
         f"priority must be an int in [{PRIORITY_MIN}, {PRIORITY_MAX}]: "
         f"{priority!r}",
     )
@@ -208,18 +221,18 @@ def _parse_access(data: dict) -> AccessEvent:
     tenant = _parse_tenant(data)
     page = data.get("page")
     _require(
-        isinstance(page, int) and 0 <= page < MAX_HUGE_PAGES,
+        type(page) is int and 0 <= page < MAX_HUGE_PAGES,
         f"access page must be an int in [0, {MAX_HUGE_PAGES}): {page!r}",
     )
     count = data.get("count")
     _require(
-        isinstance(count, int) and count >= 0,
-        f"access count must be a non-negative int: {count!r}",
+        type(count) is int and 0 <= count <= MAX_EVENT_COUNT,
+        f"access count must be an int in [0, {MAX_EVENT_COUNT}]: {count!r}",
     )
     subpage = data.get("subpage")
     if subpage is not None:
         _require(
-            isinstance(subpage, int) and 0 <= subpage < 512,
+            type(subpage) is int and 0 <= subpage < 512,
             f"subpage must be an int in [0, 512): {subpage!r}",
         )
     return AccessEvent(
@@ -241,8 +254,8 @@ def _parse_snapshot(data: dict) -> SnapshotEvent:
     )
     for value in counts:
         _require(
-            isinstance(value, int) and value >= 0,
-            f"snapshot counts must be non-negative ints: {value!r}",
+            type(value) is int and 0 <= value <= MAX_EVENT_COUNT,
+            f"snapshot counts must be ints in [0, {MAX_EVENT_COUNT}]: {value!r}",
         )
     return SnapshotEvent(
         tenant=tenant, counts=tuple(counts), priority=_parse_priority(data)
@@ -259,7 +272,7 @@ def _parse_decide(data: dict) -> DecideEvent:
     deadline = data.get("deadline_seconds")
     if deadline is not None:
         _require(
-            isinstance(deadline, (int, float)) and deadline > 0,
+            type(deadline) in (int, float) and deadline > 0,
             f"deadline_seconds must be positive: {deadline!r}",
         )
         deadline = float(deadline)

@@ -16,8 +16,7 @@ this module supplies both.  Three frontends:
   exposition of the ``repro_service_*`` registry), and ``/statusz``
   (one JSON page: queue depths per tenant, breaker state, WAL seq and
   checkpoint lag, degraded-serve reasons, shed counts, latency
-  histograms, flight-recorder state).  :func:`serve_health` remains as
-  the original name for callers that only need the first two routes.
+  histograms, flight-recorder state).
 
 Backpressure is real here: while the core reports
 ``should_backpressure`` the readers stop pulling from their transports
@@ -176,10 +175,3 @@ async def serve_http(
             writer.close()
 
     return await asyncio.start_server(handler, host=host, port=port)
-
-
-async def serve_health(
-    service: PlacementService, host: str = "127.0.0.1", port: int = 0
-):
-    """Backwards-compatible name for :func:`serve_http`."""
-    return await serve_http(service, host=host, port=port)

@@ -13,11 +13,12 @@ Two artifacts under the service's WAL directory:
   restart; the log is the source of truth and always wins when it is
   ahead of the checkpoint.
 
-Recovery replays the log, rebuilds the ack map (``request_id → seq``)
-and the last-known-good decision cache, and reconciles the checkpoint.
-A client that re-sends an already-acked request after a crash gets the
-recorded ack back verbatim — no duplicate sequence numbers, no duplicate
-log entries.
+Recovery replays the log into the service's ack index (``request_id →``
+the decision acked under it, plus each tenant's newest decision, the
+last-known-good plan degraded serving answers with) and reconciles the
+checkpoint.  A client that re-sends an already-acked request after a
+crash gets the recorded ack back verbatim — no duplicate sequence
+numbers, no duplicate log entries.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from pathlib import Path
 
 from repro.errors import ServiceError
 from repro.ioutil import atomic_write_json
-from repro.service.cache import CachedDecision
 
 LOG_NAME = "decisions.jsonl"
 CHECKPOINT_NAME = "checkpoint.json"
@@ -117,7 +117,7 @@ def truncate_torn_tail(
 ) -> None:
     """Drop torn (never-acked) trailing bytes from the decision log.
 
-    Every startup path that will append to the log must call this when
+    A service must call this before appending to a log whose
     :func:`scan_log` reports a torn tail — otherwise the first new
     record concatenates onto the partial line, and a later recovery
     stops at that invalid line and discards every record after it.
@@ -158,41 +158,50 @@ class Checkpoint:
         )
 
 
+@dataclass(frozen=True)
+class CachedDecision:
+    """One acked placement plan, as its log record holds it."""
+
+    tenant: str
+    seq: int
+    epoch_index: int
+    plan: dict
+
+
 @dataclass
 class RecoveredState:
     """What restart rebuilds from the WAL directory."""
 
     last_seq: int = 0
-    acked: dict[str, int] = field(default_factory=dict)
-    decisions: list[CachedDecision] = field(default_factory=list)
-    #: The decision recorded under each request_id, so idempotent
-    #: replays after restart answer with the plan that was actually
-    #: acked — not whatever the tenant's latest decision happens to be.
-    acked_records: dict[str, CachedDecision] = field(default_factory=dict)
+    #: request_id → the decision acked under it, so idempotent replays
+    #: after restart answer with the plan that was actually acked.
+    acked: dict[str, CachedDecision] = field(default_factory=dict)
+    #: tenant → its newest acked decision (degraded serving's answer).
+    last_good: dict[str, CachedDecision] = field(default_factory=dict)
     checkpoint: Checkpoint = field(default_factory=Checkpoint)
     torn_tail: bool = False
-    #: Byte length of the intact log prefix; a resuming service truncates
-    #: the file here so appends never concatenate onto torn bytes.
-    intact_bytes: int = 0
     #: True when the log held records the (older) checkpoint missed —
     #: expected after a crash between an ack and the next checkpoint.
     log_ahead_of_checkpoint: bool = False
 
 
-def recover(wal_dir: str | os.PathLike[str]) -> RecoveredState:
+def recover(
+    wal_dir: str | os.PathLike[str], scan: LogScan | None = None
+) -> RecoveredState:
     """Rebuild service durability state from a WAL directory.
 
-    Raises :class:`ServiceError` on a log that is corrupt beyond a torn
-    tail (non-monotonic or duplicate sequence numbers) — that is not a
-    crash artifact, it is a bug or tampering, and resuming on top of it
-    would silently violate the no-duplicate-acks guarantee.
+    ``scan`` is the decision log's :func:`scan_log`, for a caller that
+    already holds it.  Raises :class:`ServiceError` on a log that is
+    corrupt beyond a torn tail (non-monotonic or duplicate sequence
+    numbers) — that is not a crash artifact, it is a bug or tampering,
+    and resuming on top of it would silently violate the
+    no-duplicate-acks guarantee.
     """
     wal_dir = Path(wal_dir)
-    scan = scan_log(wal_dir / LOG_NAME)
+    if scan is None:
+        scan = scan_log(wal_dir / LOG_NAME)
     state = RecoveredState(
-        checkpoint=Checkpoint.load(wal_dir),
-        torn_tail=scan.torn_tail,
-        intact_bytes=scan.intact_bytes,
+        checkpoint=Checkpoint.load(wal_dir), torn_tail=scan.torn_tail
     )
     for record in scan.records:
         seq = record.get("seq")
@@ -209,15 +218,14 @@ def recover(wal_dir: str | os.PathLike[str]) -> RecoveredState:
                 f"duplicate ack for request {request_id!r} in decision log"
             )
         state.last_seq = seq
-        state.acked[request_id] = seq
         decision = CachedDecision(
             tenant=str(record.get("tenant", "")),
             seq=seq,
             epoch_index=int(record.get("epoch_index", -1)),
             plan=record.get("plan", {}),
         )
-        state.decisions.append(decision)
-        state.acked_records[request_id] = decision
+        # Seqs strictly increase, so the last write per tenant is its newest.
+        state.acked[request_id] = state.last_good[decision.tenant] = decision
     state.log_ahead_of_checkpoint = state.last_seq > state.checkpoint.seq
     return state
 

@@ -50,7 +50,7 @@ class TestRunCaching:
 
     def test_clear_cache(self):
         a = common.run_thermostat("web-search", scale=0.02, seed=3)
-        common.clear_run_cache()
+        common.get_store().clear_memory()
         b = common.run_thermostat("web-search", scale=0.02, seed=3)
         assert a is not b
         assert a.summary() == b.summary()

@@ -115,7 +115,8 @@ class TestFig5to10:
         assert "summary" in fig5to10_footprint.summary_table(figures).lower()
 
     def test_breakdown_series_conserve_footprint(self):
-        fig = fig5to10_footprint.run_one("mysql-tpcc", scale=SCALE, seed=SEED)
+        figures = fig5to10_footprint.run(scale=SCALE, seed=SEED)
+        fig = next(f for f in figures if f.workload == "mysql-tpcc")
         total = sum(
             fig.result.series(k).values[-1]
             for k in ("cold_2mb_bytes", "cold_4kb_bytes",

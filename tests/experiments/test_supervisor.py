@@ -454,3 +454,21 @@ class TestRunnerIntegration:
             return [ln for ln in text.splitlines() if not ln.startswith("[")]
 
         assert body(plain) == body(supervised)
+
+    def test_ext_faults_runs_under_the_batch_flags(self, tmp_path, monkeypatch):
+        # assert-audit fails any unaudited run, so exit 0 proves --audit
+        # reached every one of ext-faults' runs.
+        monkeypatch.setenv(TEST_FAULT_ENV, "redis:assert-audit")
+        args = ["ext-faults", "--scale", "0.01", "--audit"]
+        assert runner_main(args + ["--cache-dir", str(tmp_path / "cache")]) == 0
+
+    @pytest.mark.parametrize("experiment", ["fig11", "ext-oracle"])
+    def test_sweep_fetches_each_run_once(self, experiment, tmp_path, capsys):
+        args = [experiment, "--scale", "0.01", "--jobs", "2"]
+        assert runner_main(args + ["--cache-dir", str(tmp_path / "plain")]) == 0
+        assert "[result store: 0 hits," in capsys.readouterr().out
+        supervised = args + ["--retries", "1", "--cache-dir", str(tmp_path / "sup")]
+        assert runner_main(supervised) == 0
+        out = capsys.readouterr().out
+        assert "[result store: 0 hits," in out
+        assert "0 retried, 0 quarantined, 0 resumed]" in out

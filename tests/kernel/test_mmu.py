@@ -50,15 +50,6 @@ class TestMmap:
         assert space.resident_bytes(node=FAST_NODE) == 2 * HUGE_PAGE_SIZE
         assert space.resident_bytes(node=SLOW_NODE) == 0
 
-    def test_munmap_releases_everything(self):
-        space = make_space()
-        space.mmap(0, 2 * HUGE_PAGE_SIZE)
-        allocated = space.topology.fast.tier.allocated_bytes
-        assert allocated == 2 * HUGE_PAGE_SIZE
-        space.munmap(0)
-        assert space.resident_bytes() == 0
-        assert space.topology.fast.tier.allocated_bytes == 0
-
     def test_access_unmapped_raises_without_demand_paging(self):
         space = make_space()
         with pytest.raises(MappingError):

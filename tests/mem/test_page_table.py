@@ -183,10 +183,3 @@ class TestTranslate:
         # A poison fault must not set the Accessed bit — the handler does
         # that as part of servicing.
         assert not entry.accessed
-
-    def test_subpage_entries(self, table):
-        table.map_huge(0, 0)
-        table.split_huge(0)
-        entries = table.subpage_entries(0)
-        assert len(entries) == SUBPAGES_PER_HUGE_PAGE
-        assert all(e is not None for e in entries)

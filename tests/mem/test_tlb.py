@@ -111,14 +111,6 @@ class TestTlbHierarchy:
         h.invalidate(9, huge=True)
         assert h.access(9, huge=True).needs_walk
 
-    def test_flush_all(self):
-        h = TlbHierarchy()
-        h.fill(1, huge=False)
-        h.fill(2, huge=True)
-        h.flush_all()
-        assert h.access(1, huge=False).needs_walk
-        assert h.access(2, huge=True).needs_walk
-
     def test_huge_reach_is_512x(self):
         """One 2MB entry covers 512 4KB pages — the THP argument."""
         assert HUGE_PAGE_SIZE // BASE_PAGE_SIZE == 512

@@ -15,10 +15,17 @@ from repro.obs.metrics import (
     MetricHistogram,
     MetricsRegistry,
     _fmt,
-    merge_snapshots,
     parse_prometheus_text,
     validate_metric_name,
 )
+
+
+def merge_snapshots(snapshots):
+    """One registry folded from ``snapshots`` in order, as the run merge does."""
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.merge_snapshot(snapshot)
+    return registry
 
 
 class TestNamingConvention:

@@ -245,6 +245,21 @@ class TestPoisonHandling:
             service.ingest_line("garbage", source="s")
         assert "s" not in service.quarantined_sources
 
+    def test_oversize_count_is_poison_and_the_next_decide_is_fresh(self):
+        service = make_service()
+        oversize = json.dumps(
+            {"kind": "access", "tenant": "t0", "page": 0, "count": 10**30}
+        )
+        assert service.ingest_line(oversize, source="s").status == "rejected"
+        assert service.counters["corrupt_total"] == 1
+        feed_profile(service)
+        response = decide(service)
+        assert not response.degraded and response.seq == 1
+        # The rejection fed the source's poison streak like any corrupt line.
+        for _ in range(core.POISON_SOURCE_THRESHOLD - 1):
+            service.ingest_line(oversize, source="s")
+        assert "s" in service.quarantined_sources
+
 
 class TestDurability:
     def test_acks_survive_restart(self, tmp_path):
@@ -255,7 +270,7 @@ class TestDurability:
         # No close(): simulate a hard crash.
         revived = make_service(wal_dir=wal, resume=True)
         assert revived.seq == 1
-        assert revived.acked == {"r1": 1}
+        assert {rid: d.seq for rid, d in revived.acked.items()} == {"r1": 1}
         replay = decide(revived, request_id="r1", now=99.0)
         assert not replay.degraded
         assert replay.seq == first.seq  # idempotent, no duplicate ack
@@ -300,7 +315,7 @@ class TestDurability:
         assert first.seq == 1
         # No close(): hard crash; recovery must see the acked decision.
         revived = make_service(wal_dir=str(wal), resume=True)
-        assert revived.acked == {"r1": 1}
+        assert {rid: d.seq for rid, d in revived.acked.items()} == {"r1": 1}
         assert revived.seq == 1
 
     def test_fresh_service_refuses_dirty_wal_dir(self, tmp_path):
@@ -337,7 +352,9 @@ class TestDurability:
             feed_profile(service)
             decide(service, request_id=f"r{index}", now=float(index))
         assert service.counters["checkpoints"] == 2
-        assert (tmp_path / "wal" / "checkpoint.json").exists()
+        # The checkpoint counts the ack that triggered it.
+        checkpoint = json.loads((tmp_path / "wal" / "checkpoint.json").read_text())
+        assert (checkpoint["seq"], checkpoint["acked"]) == (4, 4)
 
 
 class TestHealthAndMetrics:
@@ -371,8 +388,7 @@ class TestHealthAndMetrics:
                 {"kind": "access", "tenant": "t", "page": 0, "count": 1}
             )
             service.ingest_line(line)
-        snapshot = observer.metrics.snapshot()
-        counters = snapshot["counters"]
+        counters = service.metrics_registry().snapshot()["counters"]
         assert counters["repro_service_shed_total"] == 4.0
         assert counters["repro_service_events_total"] == 6.0
         shed_events = [
@@ -425,7 +441,6 @@ class DenseTenantState(core.TenantState):
                 self.pending[base : base + SUBPAGES_PER_HUGE_PAGE] += whole
             if remainder:
                 self.pending[base : base + remainder] += 1
-        self.events_ingested += 1
 
     def replace(self, event):
         self.ensure_capacity(len(event.counts))
@@ -442,7 +457,6 @@ class DenseTenantState(core.TenantState):
         pending = np.zeros_like(self.pending)
         pending[: fresh.size] = fresh
         self.pending = pending
-        self.events_ingested += 1
 
     def take_profile(self, start_time, resolve=None):
         profile = EpochProfile(

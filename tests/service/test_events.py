@@ -8,6 +8,7 @@ from repro.errors import EventValidationError
 from repro.faults.models import CorruptEventFaultModel
 from repro.rng import make_rng
 from repro.service.events import (
+    MAX_EVENT_COUNT,
     AccessEvent,
     DecideEvent,
     SnapshotEvent,
@@ -66,6 +67,33 @@ class TestParseAccess:
             )
 
 
+def _count_line(kind, count):
+    """One access or snapshot event carrying ``count``."""
+    if kind == "access":
+        return _line(kind="access", tenant="t", page=0, count=count)
+    return _line(kind="snapshot", tenant="t", counts=[1, count])
+
+
+class TestCountBound:
+    """A count the int64 pending profile cannot hold is rejected at parse."""
+
+    @pytest.mark.parametrize(
+        "count",
+        [MAX_EVENT_COUNT + 1, 1 << 63, 10**30],
+        ids=["bound+1", "2^63", "10^30"],
+    )
+    @pytest.mark.parametrize("kind", ["access", "snapshot"])
+    def test_oversize_count_rejected(self, kind, count):
+        with pytest.raises(EventValidationError, match="count"):
+            parse_event(_count_line(kind, count))
+
+    def test_the_bound_itself_is_accepted(self):
+        access = parse_event(_count_line("access", MAX_EVENT_COUNT))
+        snapshot = parse_event(_count_line("snapshot", MAX_EVENT_COUNT))
+        assert access.count == MAX_EVENT_COUNT
+        assert snapshot.counts == (1, MAX_EVENT_COUNT)
+
+
 class TestParseSnapshot:
     def test_roundtrip(self):
         event = parse_event(_line(kind="snapshot", tenant="t0", counts=[1, 0, 5]))
@@ -114,6 +142,13 @@ class TestGarbageRejection:
             '{"kind": "access", "page": 0, "count": 1}',  # no tenant
             '{"kind": "access", "tenant": "", "page": 0, "count": 1}',
             '{"kind": "decide", "tenant": "t", "request_id": "r", "priority": 9}',
+            # JSON booleans are not numbers, though Python's bool is an int.
+            '{"kind": "access", "tenant": "t", "page": true, "count": 1}',
+            '{"kind": "access", "tenant": "t", "page": 0, "count": true}',
+            '{"kind": "access", "tenant": "t", "page": 0, "count": 1, "subpage": true}',
+            '{"kind": "snapshot", "tenant": "t", "counts": [1, false]}',
+            '{"kind": "decide", "tenant": "t", "request_id": "r", "priority": true}',
+            '{"kind": "decide", "tenant": "t", "request_id": "r", "deadline_seconds": true}',
         ],
     )
     def test_rejected(self, line):

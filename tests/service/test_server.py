@@ -3,7 +3,7 @@
 import asyncio
 
 from repro.service.core import PlacementService, ServiceConfig
-from repro.service.server import serve_health
+from repro.service.server import serve_http
 
 
 async def _request(port: int, raw: bytes) -> bytes:
@@ -18,7 +18,7 @@ async def _request(port: int, raw: bytes) -> bytes:
 def _roundtrip(raw: bytes) -> bytes:
     async def run() -> bytes:
         service = PlacementService(config=ServiceConfig())
-        server = await serve_health(service, port=0)
+        server = await serve_http(service, port=0)
         port = server.sockets[0].getsockname()[1]
         try:
             return await _request(port, raw)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.errors import ServiceError
-from repro.service.cache import DecisionCache
+from repro.service.core import PlacementService, ServiceConfig
+from repro.service.events import DecideEvent
+from repro.service.traffic import TrafficConfig, drive
 from repro.service.wal import (
     Checkpoint,
     DecisionLog,
@@ -60,11 +62,11 @@ class TestRecovery:
             log.append(_record(3, tenant="a"))
         state = recover(tmp_path)
         assert state.last_seq == 3
-        assert state.acked == {"req-1": 1, "req-2": 2, "req-3": 3}
-        cache = DecisionCache()
-        cache.restore(state.decisions)
-        assert cache.get("a").seq == 3  # newest per tenant wins
-        assert cache.get("b").seq == 2
+        assert {rid: d.seq for rid, d in state.acked.items()} == {
+            "req-1": 1, "req-2": 2, "req-3": 3,
+        }
+        # Newest per tenant wins.
+        assert {t: d.seq for t, d in state.last_good.items()} == {"a": 3, "b": 2}
 
     def test_duplicate_seq_is_corruption_not_crash(self, tmp_path):
         path = tmp_path / "decisions.jsonl"
@@ -95,6 +97,25 @@ class TestRecovery:
     def test_empty_dir(self, tmp_path):
         state = recover(tmp_path)
         assert state.last_seq == 0 and state.acked == {}
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+    def test_resume_rebuilds_the_live_ack_view(self, chaos, tmp_path):
+        config = ServiceConfig(seed=5)
+        live = PlacementService(config, wal_dir=str(tmp_path))
+        drive(live, TrafficConfig(seed=5, tenants=3, decisions=80, chaos=chaos))
+        live.close()
+        revived = PlacementService(config, wal_dir=str(tmp_path), resume=True)
+        assert revived.acked == live.acked
+        # Each tenant's newest decision: what degraded serving answers with.
+        assert revived.last_good == live.last_good
+        assert len(live.last_good) == 3
+        assert len(live.acked) > len(live.last_good)
+        for request_id, decision in live.acked.items():
+            event = DecideEvent(tenant=decision.tenant, request_id=request_id)
+            replay = revived.decide(event, now=0.0)
+            assert not replay.degraded
+            assert (replay.seq, replay.plan) == (decision.seq, decision.plan)
+        assert revived.counters["idempotent_acks"] == len(live.acked)
 
 
 class TestVerify:

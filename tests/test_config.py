@@ -104,7 +104,6 @@ class TestSimulationConfig:
     def test_faults_default_to_disabled(self):
         cfg = SimulationConfig(duration=300, epoch=30)
         assert cfg.faults.enabled is False
-        assert not cfg.faults.any_faults_possible
 
 
 class TestFaultConfig:
@@ -116,19 +115,6 @@ class TestFaultConfig:
         assert cfg.ue_endurance_writes == 0.0
         assert cfg.overhead_spike_rate == 0.0
         assert cfg.sample_loss_rate == 0.0
-        assert not cfg.any_faults_possible
-
-    def test_enabled_without_rates_is_still_inert(self):
-        assert not FaultConfig(enabled=True).any_faults_possible
-
-    def test_any_faults_possible_per_model(self):
-        assert FaultConfig(enabled=True, migration_failure_rate=0.1).any_faults_possible
-        assert FaultConfig(enabled=True, capacity_exhaustion_rate=0.1).any_faults_possible
-        assert FaultConfig(enabled=True, ue_endurance_writes=10.0).any_faults_possible
-        assert FaultConfig(enabled=True, overhead_spike_rate=0.1).any_faults_possible
-        assert FaultConfig(enabled=True, sample_loss_rate=0.1).any_faults_possible
-        # Rates without the master switch stay inert.
-        assert not FaultConfig(migration_failure_rate=0.1).any_faults_possible
 
     @pytest.mark.parametrize(
         "field,value",
