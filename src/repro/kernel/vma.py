@@ -87,14 +87,6 @@ class VmaSet:
         self._starts.insert(index, vma.start)
         self._vmas.insert(index, vma)
 
-    def remove(self, start: VirtualAddress) -> Vma:
-        """Remove and return the VMA starting exactly at ``start``."""
-        index = bisect.bisect_left(self._starts, start)
-        if index >= len(self._starts) or self._starts[index] != start:
-            raise MappingError(f"no VMA starts at {start:#x}")
-        self._starts.pop(index)
-        return self._vmas.pop(index)
-
     def find(self, address: VirtualAddress) -> Vma | None:
         """Return the VMA containing ``address``, or None."""
         index = bisect.bisect_right(self._starts, address) - 1

@@ -80,11 +80,6 @@ class Tlb:
         way = self._set_for(vpn)
         return way.pop(vpn, "absent") != "absent"
 
-    def flush(self) -> None:
-        """Drop every entry (full TLB flush)."""
-        for way in self._sets:
-            way.clear()
-
     @property
     def occupancy(self) -> int:
         """Number of valid entries currently cached."""

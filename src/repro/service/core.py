@@ -44,6 +44,7 @@ number.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,6 +107,8 @@ POISON_SOURCE_THRESHOLD = 5
 CHECKPOINT_EVERY = 64
 #: Virtual seconds of observation each engine epoch represents.
 EPOCH_SECONDS = 1.0
+#: Latest answered decisions whose latencies ``/statusz`` takes quantiles of.
+STATUSZ_LATENCY_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -283,11 +286,10 @@ class PlacementService:
         self.degraded_by_reason: dict[str, int] = {}
         #: Breaker transitions already emitted through the observer.
         self._seen_breaker_transitions = 0
-        #: Virtual latency of every answered decision, seconds (for the
-        #: p50/p99 numbers in reports; bounded soaks keep this small).
-        self.latencies: list[float] = []
-        #: The same latencies bucketed for ``/metrics``, one observation
-        #: per decision.
+        #: Virtual latency of the latest answered decisions, seconds (the
+        #: ``/statusz`` quantiles).
+        self.latencies: deque[float] = deque(maxlen=STATUSZ_LATENCY_WINDOW)
+        #: Every answered decision's latency, bucketed for ``/metrics``.
         self.latency_histogram = MetricHistogram(
             "repro_service_decision_latency_seconds", SECONDS_BUCKETS
         )
@@ -886,11 +888,14 @@ class PlacementService:
         return registry
 
     def statusz(self, now: float = 0.0) -> dict:
-        """The ``/statusz`` JSON snapshot: everything live, one page."""
-        latencies = list(self.latencies)
-        latency_summary = {"count": len(latencies)}
-        if latencies:
-            arr = np.asarray(latencies)
+        """The ``/statusz`` JSON snapshot: everything live, one page.
+
+        Its latency ``count`` covers every answered decision; the
+        quantiles cover the latest :data:`STATUSZ_LATENCY_WINDOW`.
+        """
+        latency_summary = {"count": self.latency_histogram.count}
+        if self.latencies:
+            arr = np.asarray(self.latencies)
             latency_summary.update(
                 p50=float(np.percentile(arr, 50)),
                 p99=float(np.percentile(arr, 99)),

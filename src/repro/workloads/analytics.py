@@ -18,23 +18,74 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.units import SUBPAGES_PER_HUGE_PAGE
-from repro.workloads.base import Workload, pad_to_huge
+from repro.workloads.base import Workload, pad_to_huge, static_rates
 from repro.workloads.distributions import spatial_layout
 
 
+def analytics_template(
+    final_footprint_pages: int,
+    total_rate: float,
+    rng: np.random.Generator,
+    cold_fraction_of_dataset: float = 0.2,
+    dataset_fraction: float = 0.6,
+    band_masses: tuple[float, float, float] = (0.005, 0.395, 0.60),
+) -> np.ndarray:
+    """Static popularity template over the *final*, 2MB-padded footprint.
+
+    Parameters
+    ----------
+    final_footprint_pages:
+        Footprint (4KB pages) once all RDDs are materialized.
+    dataset_fraction:
+        Fraction of the footprint holding input/intermediate RDDs (the
+        region that cools); the rest is the hot working set (factor
+        matrices, shuffle buffers).
+    cold_fraction_of_dataset:
+        Fraction of the dataset region that goes nearly idle after
+        ingest.
+    band_masses:
+        Traffic shares of the (cold-dataset, warm-dataset, working-set)
+        regions; must sum to 1.
+    """
+    if final_footprint_pages <= 0:
+        raise WorkloadError(f"footprint must be positive: {final_footprint_pages}")
+    if not 0.0 < dataset_fraction < 1.0:
+        raise WorkloadError(f"dataset_fraction must be in (0,1): {dataset_fraction}")
+    if not 0.0 <= cold_fraction_of_dataset <= 1.0:
+        raise WorkloadError(
+            f"cold_fraction_of_dataset must be in [0,1]: {cold_fraction_of_dataset}"
+        )
+    if abs(sum(band_masses) - 1.0) > 1e-6:
+        raise WorkloadError(f"band_masses must sum to 1: {band_masses}")
+    padded = pad_to_huge(final_footprint_pages)
+    dataset_pages = int(dataset_fraction * padded)
+    cold_pages = int(cold_fraction_of_dataset * dataset_pages)
+    # The cold tail of the dataset gets a token rate, the warm dataset a
+    # modest one, the working set the bulk.
+    cold_mass, warm_mass, hot_mass = band_masses
+    template = np.empty(padded)
+    template[:cold_pages] = cold_mass / max(cold_pages, 1)
+    template[cold_pages:dataset_pages] = warm_mass / max(dataset_pages - cold_pages, 1)
+    template[dataset_pages:] = hot_mass / max(padded - dataset_pages, 1)
+    return spatial_layout(template, rng) * total_rate
+
+
 class AnalyticsWorkload(Workload):
-    """Iterative in-memory analytics with a growing, phase-shifting footprint."""
+    """Iterative in-memory analytics with a growing, phase-shifting footprint.
+
+    ``template`` is the final footprint's rate vector from
+    :func:`analytics_template` (kept read-only, see
+    :func:`~repro.workloads.base.static_rates`); ``total_rate`` is the
+    application's access rate, held constant as the resident prefix of
+    the template grows.
+    """
 
     def __init__(
         self,
         name: str,
-        final_footprint_pages: int,
+        template: np.ndarray,
         total_rate: float,
-        rng: np.random.Generator,
         growth_duration: float = 150.0,
-        cold_fraction_of_dataset: float = 0.2,
-        dataset_fraction: float = 0.6,
-        band_masses: tuple[float, float, float] = (0.005, 0.395, 0.60),
         baseline_ops_per_second: float = 10_000.0,
         write_fraction: float = 0.3,
         burstiness: float = 0.0,
@@ -42,34 +93,11 @@ class AnalyticsWorkload(Workload):
         duty_floor: float = 0.05,
         duty_persistence: float = 4.0,
     ) -> None:
-        """
-        Parameters
-        ----------
-        final_footprint_pages:
-            Footprint (4KB pages) once all RDDs are materialized.
-        dataset_fraction:
-            Fraction of the footprint holding input/intermediate RDDs (the
-            region that cools); the rest is the hot working set (factor
-            matrices, shuffle buffers).
-        cold_fraction_of_dataset:
-            Fraction of the dataset region that goes nearly idle after
-            ingest.
-        band_masses:
-            Traffic shares of the (cold-dataset, warm-dataset, working-set)
-            regions; must sum to 1.
-        """
-        if final_footprint_pages <= 0:
-            raise WorkloadError(f"{name}: footprint must be positive")
-        if not 0.0 < dataset_fraction < 1.0:
-            raise WorkloadError(f"{name}: dataset_fraction must be in (0,1)")
-        if not 0.0 <= cold_fraction_of_dataset <= 1.0:
-            raise WorkloadError(f"{name}: cold_fraction_of_dataset in [0,1]")
-        if abs(sum(band_masses) - 1.0) > 1e-6:
-            raise WorkloadError(f"{name}: band_masses must sum to 1: {band_masses}")
-        padded = pad_to_huge(final_footprint_pages)
+        self._template, _ = static_rates(name, template)
+        self._final_pages = self._template.size
         super().__init__(
             name,
-            padded * 4096,
+            self._final_pages * 4096,
             file_mapped_bytes=0,
             baseline_ops_per_second=baseline_ops_per_second,
             write_fraction=write_fraction,
@@ -78,24 +106,8 @@ class AnalyticsWorkload(Workload):
             duty_floor=duty_floor,
             duty_persistence=duty_persistence,
         )
-        self._final_pages = padded
         self.growth_duration = growth_duration
         self.total_rate = total_rate
-
-        dataset_pages = int(dataset_fraction * padded)
-        cold_pages = int(cold_fraction_of_dataset * dataset_pages)
-        # Static popularity template over the *final* footprint: cold tail of
-        # the dataset gets a token rate, the warm dataset a modest one, the
-        # working set the bulk.
-        cold_mass, warm_mass, hot_mass = band_masses
-        template = np.empty(padded)
-        template[:cold_pages] = cold_mass / max(cold_pages, 1)
-        template[cold_pages:dataset_pages] = warm_mass / max(
-            dataset_pages - cold_pages, 1
-        )
-        template[dataset_pages:] = hot_mass / max(padded - dataset_pages, 1)
-        template = spatial_layout(template, rng)
-        self._template = template * total_rate
 
     @property
     def total_base_pages(self) -> int:

@@ -29,6 +29,37 @@ def pad_to_huge(num_base_pages: int) -> int:
     return num_base_pages
 
 
+def static_rates(
+    name: str, rates: np.ndarray, num_pages: int | None = None
+) -> tuple[np.ndarray, int]:
+    """A static per-4KB rate vector, read-only and zero-padded to 2MB, and its pages.
+
+    ``num_pages`` is the footprint in 4KB pages when ``rates`` is already
+    padded past it (default: every rate is a page).  A read-only vector
+    of whole 2MB pages is used as is, which is how the registry's builds
+    share one vector; any other is copied, so a caller's later writes
+    never reach the workload.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 1 or rates.size == 0:
+        raise WorkloadError(f"{name}: rates must be a non-empty 1-D array")
+    # Keep this a boolean temporary: freeing it raises glibc's dynamic
+    # mmap threshold, which keeps the engine's per-epoch temporaries on
+    # the heap.  With ``rates.min()`` a paper-scale redis run faulted them
+    # in afresh every epoch and ran up to 40% slower.
+    if np.any(rates < 0):
+        raise WorkloadError(f"{name}: rates must be non-negative")
+    pages = rates.size if num_pages is None else num_pages
+    if not pages <= rates.size <= pad_to_huge(pages):
+        raise WorkloadError(f"{name}: {rates.size} rates do not pad {pages} pages")
+    if rates.flags.writeable or rates.size % SUBPAGES_PER_HUGE_PAGE:
+        padded = np.zeros(pad_to_huge(rates.size))
+        padded[: rates.size] = rates
+        padded.flags.writeable = False
+        rates = padded
+    return rates, pages
+
+
 #: Largest total an evenly weighted row draws as uniform subpage picks: a
 #: mean of 8 accesses per subpage.  T picks cost O(T) while the multinomial
 #: makes 511 binomial draws, which numpy switches from inversion to BTPE at
@@ -352,9 +383,11 @@ class RateModelWorkload(Workload):
     this directly; the application models build their rate vectors with
     :mod:`repro.workloads.distributions` and add time variation on top.
 
-    The vector is stored read-only, so :meth:`rates_at` hands out the one
-    array and every epoch reuses its per-2MB sums.  A subclass that
-    changes rates builds a new array rather than writing into this one.
+    The vector is kept read-only (:func:`static_rates`), so
+    :meth:`rates_at` hands out the one array and every epoch reuses its
+    per-2MB sums.  A subclass that changes rates builds a new array
+    rather than writing into this one.  ``num_pages`` is the footprint
+    in 4KB pages when ``rates`` comes already padded past it.
     """
 
     def __init__(
@@ -368,15 +401,12 @@ class RateModelWorkload(Workload):
         duty_threshold: float | None = None,
         duty_floor: float = 0.05,
         duty_persistence: float = 4.0,
+        num_pages: int | None = None,
     ) -> None:
-        rates = np.asarray(rates, dtype=float)
-        if rates.ndim != 1 or rates.size == 0:
-            raise WorkloadError(f"{name}: rates must be a non-empty 1-D array")
-        if np.any(rates < 0):
-            raise WorkloadError(f"{name}: rates must be non-negative")
+        self._rates, num_pages = static_rates(name, rates, num_pages)
         # The rate vector covers the whole managed footprint (resident plus
         # file-mapped, since hugetmpfs puts both under Thermostat's control).
-        resident_bytes = rates.size * BASE_PAGE_SIZE - file_mapped_bytes
+        resident_bytes = num_pages * BASE_PAGE_SIZE - file_mapped_bytes
         if resident_bytes <= 0:
             raise WorkloadError(
                 f"{name}: file_mapped_bytes exceeds the rate-vector footprint"
@@ -392,10 +422,6 @@ class RateModelWorkload(Workload):
             duty_floor=duty_floor,
             duty_persistence=duty_persistence,
         )
-        padded = pad_to_huge(rates.size)
-        self._rates = np.zeros(padded, dtype=float)
-        self._rates[: rates.size] = rates
-        self._rates.flags.writeable = False
 
     def rates_at(self, time: float) -> np.ndarray:
         return self._rates

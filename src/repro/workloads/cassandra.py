@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.units import GB, SUBPAGES_PER_HUGE_PAGE
-from repro.workloads.base import Workload, pad_to_huge
+from repro.workloads.base import Workload, pad_to_huge, static_rates
 
 
 class CassandraWorkload(Workload):
@@ -48,13 +48,16 @@ class CassandraWorkload(Workload):
         churn_interval: float | None = 180.0,
         churn_fraction: float = 0.001,
         churn_page_rate: float = 4.0,
+        num_pages: int | None = None,
     ) -> None:
         """
         Parameters
         ----------
-        base_rates:
+        base_rates / num_pages:
             Per-4KB-page rates of the initial (pre-growth) footprint,
-            including the file-mapped SSTable region.
+            including the file-mapped SSTable region (kept read-only, see
+            :func:`~repro.workloads.base.static_rates`); ``num_pages`` is
+            that footprint when ``base_rates`` comes already padded past it.
         growth_bytes / growth_duration:
             How much the resident set grows and over how long (linear).
         fresh_page_rate:
@@ -73,12 +76,10 @@ class CassandraWorkload(Workload):
             Figure 3's slow-access rate overshoot and exercises the
             Section 3.5 correction path.
         """
-        base_rates = np.asarray(base_rates, dtype=float)
-        if base_rates.ndim != 1 or base_rates.size == 0:
-            raise WorkloadError(f"{name}: base_rates must be non-empty 1-D")
+        self._base_rates, num_pages = static_rates(name, base_rates, num_pages)
         if growth_bytes < 0 or growth_duration <= 0:
             raise WorkloadError(f"{name}: bad growth parameters")
-        resident = base_rates.size * 4096 - file_mapped_bytes
+        resident = num_pages * 4096 - file_mapped_bytes
         if resident <= 0:
             raise WorkloadError(f"{name}: file_mapped_bytes exceeds base footprint")
         super().__init__(
@@ -92,9 +93,7 @@ class CassandraWorkload(Workload):
             duty_floor=duty_floor,
             duty_persistence=duty_persistence,
         )
-        self._base_pages = pad_to_huge(base_rates.size)
-        self._base_rates = np.zeros(self._base_pages)
-        self._base_rates[: base_rates.size] = base_rates
+        self._base_pages = self._base_rates.size
         self._growth_pages = pad_to_huge(growth_bytes // 4096)
         self.growth_duration = growth_duration
         self.fresh_page_rate = fresh_page_rate

@@ -44,6 +44,7 @@ class KeyValueWorkload(RateModelWorkload):
         drift_interval: float | None = None,
         drift_fraction: float = 0.0,
         drift_seed: int = 0,
+        num_pages: int | None = None,
     ) -> None:
         super().__init__(
             name,
@@ -55,6 +56,7 @@ class KeyValueWorkload(RateModelWorkload):
             duty_threshold=duty_threshold,
             duty_floor=duty_floor,
             duty_persistence=duty_persistence,
+            num_pages=num_pages,
         )
         if drift_interval is not None and drift_interval <= 0:
             raise WorkloadError(f"{name}: drift_interval must be positive")

@@ -19,17 +19,23 @@ web-search             2.28GB       dead index segments     ~40%
 ``scale`` shrinks footprints (keeping total access rates, hence keeping
 the mass fractions and cold-fraction behaviour) so tests and benchmarks
 run quickly; ``scale=1.0`` is the paper-sized configuration.
+
+Each member's static vector is drawn once per ``(name, scale, seed)`` in
+a process and shared read-only by every later build (DESIGN.md,
+"Workload builds share their static vectors").
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import WorkloadError
 from repro.rng import label_seed, make_rng
 from repro.units import GB, MB, bytes_to_pages
-from repro.workloads.analytics import AnalyticsWorkload
-from repro.workloads.base import Workload
+from repro.workloads.analytics import AnalyticsWorkload, analytics_template
+from repro.workloads.base import Workload, static_rates
 from repro.workloads.cassandra import CassandraWorkload
 from repro.workloads.distributions import (
     exponential_decay_rates,
@@ -37,8 +43,8 @@ from repro.workloads.distributions import (
     tiered_rates,
 )
 from repro.workloads.kv import KeyValueWorkload
-from repro.workloads.tpcc import TpccWorkload
-from repro.workloads.websearch import WebSearchWorkload
+from repro.workloads.tpcc import TpccWorkload, build_tpcc_rates
+from repro.workloads.websearch import WebSearchWorkload, websearch_rates
 
 #: Table 2 of the paper: (resident set size, file-mapped bytes).
 TABLE2_FOOTPRINTS: dict[str, tuple[int, int]] = {
@@ -95,6 +101,32 @@ def _check_scale(scale: float) -> None:
         raise WorkloadError(f"scale must be in (0, 1]: {scale}")
 
 
+# Each suite member's static vector, drawn once per (name, scale, seed)
+# per process.  Module state is safe here only because nothing in it can
+# change: every entry is read-only and builds get views of it, which
+# cannot be made writable, so no build sees what another run did.
+_VECTORS: dict[tuple[str, float, int | None], np.ndarray] = {}  # reprolint: disable=R007
+
+
+def _shared(
+    name: str,
+    scale: float,
+    seed: int | None,
+    draw: Callable[[np.random.Generator], np.ndarray],
+) -> np.ndarray:
+    """A read-only view of ``name``'s static vector, drawn on first use.
+
+    ``draw`` takes the workload's generator (``seed``, or the name's
+    label seed) and returns the vector; it is stored zero-padded to 2MB.
+    """
+    key = (name, scale, seed)
+    vector = _VECTORS.get(key)
+    if vector is None:
+        drawn = draw(make_rng(label_seed(name) if seed is None else seed))
+        vector = _VECTORS[key] = static_rates(name, drawn)[0]
+    return vector.view()
+
+
 def make_aerospike(scale: float = 1.0, seed: int | None = None) -> Workload:
     """Aerospike under read-heavy (95:5) YCSB traffic.
 
@@ -103,18 +135,23 @@ def make_aerospike(scale: float = 1.0, seed: int | None = None) -> Workload:
     that scales with the slowdown target (Figures 7 and 11).
     """
     _check_scale(scale)
-    rng = make_rng(label_seed("aerospike") if seed is None else seed)
     num_pages, file_mapped = _pages("aerospike", scale)
-    rates = exponential_decay_rates(
-        num_pages,
-        TOTAL_ACCESS_RATES["aerospike"],
-        half_life_fraction=0.2,
-        rng=rng,
-        shuffle=True,
+    rates = _shared(
+        "aerospike",
+        scale,
+        seed,
+        lambda rng: exponential_decay_rates(
+            num_pages,
+            TOTAL_ACCESS_RATES["aerospike"],
+            half_life_fraction=0.2,
+            rng=rng,
+            shuffle=True,
+        ),
     )
     return KeyValueWorkload(
         "aerospike",
         rates,
+        num_pages=num_pages,
         file_mapped_bytes=file_mapped,
         baseline_ops_per_second=BASELINE_OPS["aerospike"],
         write_fraction=0.05,
@@ -136,7 +173,6 @@ def make_cassandra(scale: float = 1.0, seed: int | None = None) -> Workload:
     (Figure 5), with compaction churn driving the Figure 3 overshoots.
     """
     _check_scale(scale)
-    rng = make_rng(label_seed("cassandra") if seed is None else seed)
     _, file_mapped = TABLE2_FOOTPRINTS["cassandra"]
     # The Table 2 RSS includes memtable growth; start from 5GB keyspace.
     base_bytes = int((5 * GB + file_mapped) * scale)
@@ -145,18 +181,24 @@ def make_cassandra(scale: float = 1.0, seed: int | None = None) -> Workload:
     # 20% of the base footprint (old SSTable files) is nearly dead, 30% is
     # the lukewarm keyspace tail that fills the slowdown budget, and the
     # rest is the hot keyspace.
-    base_rates = tiered_rates(
-        base_pages,
-        TOTAL_ACCESS_RATES["cassandra"],
-        bands=[(0.20, 0.000002), (0.30, 0.1333), (0.50, 0.866698)],
-        rng=rng,
-        shuffle=True,
+    base_rates = _shared(
+        "cassandra",
+        scale,
+        seed,
+        lambda rng: tiered_rates(
+            base_pages,
+            TOTAL_ACCESS_RATES["cassandra"],
+            bands=[(0.20, 0.000002), (0.30, 0.1333), (0.50, 0.866698)],
+            rng=rng,
+            shuffle=True,
+        ),
     )
     # Per-4KB-page rates of the growth region must scale with 1/scale so the
     # region's *aggregate* traffic (what the budget sees) is scale-invariant.
     return CassandraWorkload(
         "cassandra",
         base_rates,
+        num_pages=base_pages,
         growth_bytes=growth_bytes,
         growth_duration=1200.0,
         file_mapped_bytes=int(file_mapped * scale),
@@ -179,13 +221,17 @@ def make_mysql_tpcc(scale: float = 1.0, seed: int | None = None) -> Workload:
     around 45-50% regardless of the slowdown target (Figure 11).
     """
     _check_scale(scale)
-    rng = make_rng(label_seed("mysql-tpcc") if seed is None else seed)
     num_pages, file_mapped = _pages("mysql-tpcc", scale)
+    rates = _shared(
+        "mysql-tpcc",
+        scale,
+        seed,
+        lambda rng: build_tpcc_rates(num_pages, TOTAL_ACCESS_RATES["mysql-tpcc"], rng),
+    )
     return TpccWorkload(
         "mysql-tpcc",
-        num_pages,
-        TOTAL_ACCESS_RATES["mysql-tpcc"],
-        rng,
+        rates,
+        num_pages=num_pages,
         file_mapped_bytes=file_mapped,
         baseline_ops_per_second=BASELINE_OPS["mysql-tpcc"],
         burstiness=0.4,
@@ -201,24 +247,29 @@ def make_redis(scale: float = 1.0, seed: int | None = None) -> Workload:
     footprint fits the 3% budget (Figure 8 and the Section 6 discussion).
     """
     _check_scale(scale)
-    rng = make_rng(label_seed("redis") if seed is None else seed)
     num_pages, file_mapped = _pages("redis", scale)
     # Keep the *number* of hot pages (and hence the per-page rate of a hot
     # page, ~6K acc/s) constant under footprint scaling; otherwise a scaled
     # run concentrates the hotspot onto proportionally fewer, hotter pages
     # and mis-classification spikes are exaggerated.
     hot_fraction = min(0.5, 1e-4 / scale)
-    rates = hotspot_rates(
-        num_pages,
-        TOTAL_ACCESS_RATES["redis"],
-        hot_fraction=hot_fraction,
-        hot_mass=0.9,
-        rng=rng,
-        shuffle=True,
+    rates = _shared(
+        "redis",
+        scale,
+        seed,
+        lambda rng: hotspot_rates(
+            num_pages,
+            TOTAL_ACCESS_RATES["redis"],
+            hot_fraction=hot_fraction,
+            hot_mass=0.9,
+            rng=rng,
+            shuffle=True,
+        ),
     )
     return KeyValueWorkload(
         "redis",
         rates,
+        num_pages=num_pages,
         file_mapped_bytes=file_mapped,
         baseline_ops_per_second=BASELINE_OPS["redis"],
         write_fraction=0.1,
@@ -234,15 +285,21 @@ def make_analytics(scale: float = 1.0, seed: int | None = None) -> Workload:
     Footprint grows as RDDs materialize; ~15-20% of data is cold.
     """
     _check_scale(scale)
-    rng = make_rng(label_seed("in-memory-analytics") if seed is None else seed)
     num_pages, _ = _pages("in-memory-analytics", scale)
+    total_rate = TOTAL_ACCESS_RATES["in-memory-analytics"]
+    template = _shared(
+        "in-memory-analytics",
+        scale,
+        seed,
+        lambda rng: analytics_template(
+            num_pages, total_rate, rng, band_masses=(0.000002, 0.357998, 0.642)
+        ),
+    )
     return AnalyticsWorkload(
         "in-memory-analytics",
-        num_pages,
-        TOTAL_ACCESS_RATES["in-memory-analytics"],
-        rng,
+        template,
+        total_rate,
         growth_duration=150.0,
-        band_masses=(0.000002, 0.357998, 0.642),
         baseline_ops_per_second=BASELINE_OPS["in-memory-analytics"],
         burstiness=0.3,
     )
@@ -255,13 +312,17 @@ def make_websearch(scale: float = 1.0, seed: int | None = None) -> Workload:
     the rest is hot enough that little more ever moves.
     """
     _check_scale(scale)
-    rng = make_rng(label_seed("web-search") if seed is None else seed)
     num_pages, file_mapped = _pages("web-search", scale)
+    rates = _shared(
+        "web-search",
+        scale,
+        seed,
+        lambda rng: websearch_rates(num_pages, TOTAL_ACCESS_RATES["web-search"], rng),
+    )
     return WebSearchWorkload(
         "web-search",
-        num_pages,
-        TOTAL_ACCESS_RATES["web-search"],
-        rng,
+        rates,
+        num_pages=num_pages,
         file_mapped_bytes=file_mapped,
         baseline_ops_per_second=BASELINE_OPS["web-search"],
         burstiness=0.2,
@@ -279,7 +340,11 @@ _FACTORIES: dict[str, Callable[..., Workload]] = {
 
 
 def make_workload(name: str, scale: float = 1.0, seed: int | None = None) -> Workload:
-    """Build one suite workload by its canonical name."""
+    """Build one suite workload by its canonical name.
+
+    Every call returns a new workload; builds with equal arguments share
+    one read-only static vector.
+    """
     factory = _FACTORIES.get(name)
     if factory is None:
         raise WorkloadError(

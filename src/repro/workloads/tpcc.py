@@ -90,14 +90,15 @@ def build_tpcc_rates(
 
 
 class TpccWorkload(RateModelWorkload):
-    """MySQL-TPCC as a static rate model built from the table mix."""
+    """MySQL-TPCC as a static rate model over the table mix's rates.
+
+    ``rates`` come from :func:`build_tpcc_rates`.
+    """
 
     def __init__(
         self,
         name: str,
-        num_pages: int,
-        total_rate: float,
-        rng: np.random.Generator,
+        rates: np.ndarray,
         file_mapped_bytes: int = 0,
         baseline_ops_per_second: float = 2_000.0,
         write_fraction: float = 0.35,
@@ -105,8 +106,8 @@ class TpccWorkload(RateModelWorkload):
         duty_threshold: float | None = None,
         duty_floor: float = 0.05,
         duty_persistence: float = 4.0,
+        num_pages: int | None = None,
     ) -> None:
-        rates = build_tpcc_rates(num_pages, total_rate, rng)
         super().__init__(
             name,
             rates,
@@ -117,4 +118,5 @@ class TpccWorkload(RateModelWorkload):
             duty_threshold=duty_threshold,
             duty_floor=duty_floor,
             duty_persistence=duty_persistence,
+            num_pages=num_pages,
         )

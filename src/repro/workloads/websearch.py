@@ -23,15 +23,34 @@ from repro.workloads.base import RateModelWorkload
 from repro.workloads.distributions import tiered_rates
 
 
+def websearch_rates(
+    num_pages: int, total_rate: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-4KB-page rates of the index, laid out in address order."""
+    # Bands: 40% of the index is dead segments (essentially no accesses);
+    # the remaining 60% (dictionary, caches, common posting lists) is hot
+    # enough that any single 2MB page of it busts the per-sample demotion
+    # budget — which is why web search demotes its dead 40% with almost
+    # no slow-memory traffic and then stops (Figure 10: <1% degradation).
+    return tiered_rates(
+        num_pages,
+        total_rate,
+        bands=[(0.40, 0.000001), (0.60, 0.999999)],
+        rng=rng,
+        shuffle=True,
+    )
+
+
 class WebSearchWorkload(RateModelWorkload):
-    """Solr-like index serving a skewed query term distribution."""
+    """Solr-like index serving a skewed query term distribution.
+
+    ``rates`` come from :func:`websearch_rates`.
+    """
 
     def __init__(
         self,
         name: str,
-        num_pages: int,
-        total_rate: float,
-        rng: np.random.Generator,
+        rates: np.ndarray,
         file_mapped_bytes: int = 0,
         baseline_ops_per_second: float = 50.0,
         write_fraction: float = 0.02,
@@ -39,20 +58,8 @@ class WebSearchWorkload(RateModelWorkload):
         duty_threshold: float | None = None,
         duty_floor: float = 0.05,
         duty_persistence: float = 4.0,
+        num_pages: int | None = None,
     ) -> None:
-        # Bands: 40% of the index is dead segments (essentially no
-        # accesses); the remaining 60% (dictionary, caches, common posting
-        # lists) is hot enough that any single 2MB page of it busts the
-        # per-sample demotion budget — which is why web search demotes its
-        # dead 40% with almost no slow-memory traffic and then stops
-        # (Figure 10: <1% degradation).
-        rates = tiered_rates(
-            num_pages,
-            total_rate,
-            bands=[(0.40, 0.000001), (0.60, 0.999999)],
-            rng=rng,
-            shuffle=True,
-        )
         super().__init__(
             name,
             rates,
@@ -63,4 +70,5 @@ class WebSearchWorkload(RateModelWorkload):
             duty_threshold=duty_threshold,
             duty_floor=duty_floor,
             duty_persistence=duty_persistence,
+            num_pages=num_pages,
         )

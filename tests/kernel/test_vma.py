@@ -63,17 +63,6 @@ class TestVmaSet:
         vmas.insert(Vma(0x2000, 0x4000))
         assert len(vmas) == 2
 
-    def test_remove(self):
-        vmas = VmaSet()
-        vmas.insert(Vma(0, 0x2000))
-        removed = vmas.remove(0)
-        assert removed.end == 0x2000
-        assert vmas.find(0x1000) is None
-
-    def test_remove_missing_rejected(self):
-        with pytest.raises(MappingError):
-            VmaSet().remove(0)
-
     def test_total_bytes(self):
         vmas = VmaSet()
         vmas.insert(Vma(0, 0x2000))

@@ -57,13 +57,6 @@ class TestTlbBasics:
         assert not tlb.invalidate(1)
         assert not tlb.lookup(1)
 
-    def test_flush(self):
-        tlb = Tlb(entries=4, associativity=4)
-        for vpn in range(4):
-            tlb.fill(vpn)
-        tlb.flush()
-        assert tlb.occupancy == 0
-
     def test_hit_rate(self):
         tlb = Tlb(entries=4, associativity=4)
         tlb.fill(0)

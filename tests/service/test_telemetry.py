@@ -12,6 +12,7 @@ its ring.
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -260,6 +261,21 @@ class TestMetricsSurface:
         assert make_service().statusz()["telemetry"] == {"active": False}
         assert status["health"]["degraded_by_reason"] == {}
         json.dumps(status)  # the page must serialize (the /statusz route)
+
+    def test_statusz_quantiles_cover_a_bounded_window(self, monkeypatch):
+        monkeypatch.setattr(core, "STATUSZ_LATENCY_WINDOW", 4)
+        service = make_service()
+        latencies = []
+        for i in range(10):
+            feed_profile(service, now=float(i))
+            latencies.append(
+                decide(service, request_id=f"r{i}", now=float(i)).latency_seconds
+            )
+        summary = service.statusz(now=10.0)["latency_seconds"]
+        assert summary["count"] == 10
+        assert list(service.latencies) == latencies[-4:]
+        assert summary["max"] == max(latencies[-4:])
+        assert summary["p50"] == pytest.approx(float(np.median(latencies[-4:])))
 
 
 class TestHttpRoutes:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.config import SimulationConfig
+from repro.core.thermostat import ThermostatPolicy
 from repro.errors import WorkloadError
+from repro.sim.engine import EpochSimulation
 from repro.units import GB
-from repro.workloads import WORKLOAD_NAMES, make_workload, workload_suite
+from repro.workloads import WORKLOAD_NAMES, make_workload, registry, workload_suite
 from repro.workloads.registry import (
     BASELINE_OPS,
     TABLE2_FOOTPRINTS,
@@ -13,6 +16,26 @@ from repro.workloads.registry import (
 )
 
 SCALE = 0.02  # tiny for test speed
+
+#: The attribute holding each suite member's static vector.
+STATIC_VECTOR = {
+    "aerospike": "_rates",
+    "cassandra": "_base_rates",
+    "in-memory-analytics": "_template",
+    "mysql-tpcc": "_rates",
+    "redis": "_rates",
+    "web-search": "_rates",
+}
+
+
+def static_vector(workload):
+    return getattr(workload, STATIC_VECTOR[workload.name])
+
+
+def run_to_end(workload):
+    """One Thermostat run of 600 s: past aerospike's first drift event (300 s)."""
+    config = SimulationConfig(duration=600.0, seed=1)
+    return EpochSimulation(workload, ThermostatPolicy(), config).run()
 
 
 class TestSuiteConstruction:
@@ -91,3 +114,55 @@ class TestShapeSignatures:
         quartiles = np.percentile(huge, [25, 50, 75])
         assert quartiles[0] < quartiles[1] < quartiles[2]
         assert quartiles[2] < 30 * max(quartiles[0], 1e-9)
+
+
+class TestSharedStaticVectors:
+    """Builds share one read-only vector per (name, scale, seed)."""
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_second_build_shares_the_vector(self, name):
+        first = make_workload(name, scale=SCALE, seed=11)
+        second = make_workload(name, scale=SCALE, seed=11)
+        assert second is not first
+        assert np.shares_memory(static_vector(first), static_vector(second))
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_shared_vector_cannot_be_written(self, name):
+        vector = static_vector(make_workload(name, scale=SCALE))
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            vector.flags.writeable = True
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_run_on_a_table_hit_equals_a_fresh_draw(self, name, monkeypatch):
+        run_to_end(make_workload(name, scale=SCALE))
+        reused = run_to_end(make_workload(name, scale=SCALE))
+        monkeypatch.setattr(registry, "_VECTORS", {})
+        fresh = run_to_end(make_workload(name, scale=SCALE))
+        assert reused.summary() == fresh.summary()
+        assert reused.stats.snapshot() == fresh.stats.snapshot()
+        for series in fresh.stats.series:
+            assert np.array_equal(
+                reused.series(series).values, fresh.series(series).values
+            )
+        assert np.array_equal(reused.state.tier, fresh.state.tier)
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_seeds_and_scales_never_share(self, name):
+        vectors = [
+            static_vector(make_workload(name, scale=scale, seed=seed))
+            for scale, seed in ((SCALE, 1), (SCALE, 2), (2 * SCALE, 1))
+        ]
+        for i, one in enumerate(vectors):
+            for other in vectors[i + 1 :]:
+                assert not np.shares_memory(one, other)
+
+    def test_drift_leaves_the_table_unchanged(self):
+        workload = make_workload("aerospike", scale=SCALE)
+        table_vector = registry._VECTORS[("aerospike", SCALE, None)]
+        before = table_vector.copy()
+        run_to_end(workload)
+        assert workload._drifts_applied >= 1
+        assert not np.shares_memory(static_vector(workload), table_vector)
+        assert np.array_equal(table_vector, before)
