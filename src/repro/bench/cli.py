@@ -5,7 +5,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.compare import PERF_ALLOWANCE, SEMANTIC_RTOL, compare_snapshots
+from repro.bench.compare import (
+    PERF_ALLOWANCE,
+    SEMANTIC_RTOL,
+    compare_snapshots,
+    numpy_note,
+)
 from repro.bench.scenarios import SCENARIOS, run_suite
 from repro.bench.snapshot import load_snapshot, write_snapshot
 from repro.errors import SimulationError
@@ -38,6 +43,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         semantic_rtol=args.semantic_rtol,
         perf_allowance=args.perf_allowance,
     )
+    note = numpy_note(baseline, current)
+    if note:
+        print(note)
     print(result.describe())
     return 0 if result.ok else 1
 

@@ -71,6 +71,23 @@ class CompareResult:
         return "\n".join(lines)
 
 
+def numpy_note(baseline: dict, current: dict) -> str | None:
+    """A line naming both snapshots' numpy versions, unless both record
+    the same one.
+
+    A numpy release can move a seed-pinned metric with no code change
+    (``poison_scan_batch`` replays numpy's own ``choice``), so a semantic
+    failure across versions may be numpy's.  The note never gates.
+    """
+    base, cur = baseline.get("numpy"), current.get("numpy")
+    if base is not None and base == cur:
+        return None
+    return (
+        f"numpy: baseline {base or 'not recorded'}, "
+        f"current {cur or 'not recorded'}"
+    )
+
+
 def compare_snapshots(
     baseline: dict,
     current: dict,

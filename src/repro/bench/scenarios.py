@@ -174,9 +174,11 @@ def run_suite(names: list[str] | None = None) -> dict[str, dict]:
     :data:`TIMING_REPEATS` times and keeps its fastest time, so one
     descheduled run cannot read as a regression.  The calibration kernel
     is timed once, first, so every scenario in one invocation shares the
-    same host-speed unit.  Raises :class:`SimulationError` when a
-    scenario's repeats disagree on a semantic metric: its outputs are not
-    seed-pinned, so none of them can be pinned.
+    same host-speed unit.  The body records numpy's version, since a numpy
+    release can move semantic metrics with no code change.  Raises
+    :class:`SimulationError` when a scenario's repeats disagree on a
+    semantic metric: its outputs are not seed-pinned, so none of them can
+    be pinned.
     """
     selected = [s for s in SCENARIOS if names is None or s.name in names]
     if names is not None:
@@ -217,4 +219,8 @@ def run_suite(names: list[str] | None = None) -> dict[str, dict]:
                 "normalized": wall / calibration,
             },
         }
-    return {"calibration_seconds": calibration, "scenarios": scenarios}
+    return {
+        "calibration_seconds": calibration,
+        "numpy": np.__version__,
+        "scenarios": scenarios,
+    }

@@ -1,7 +1,8 @@
 """Schema-versioned BENCH_*.json snapshot reading and writing.
 
 A snapshot is the durable record of one suite run: the schema version,
-the calibration time, and per-scenario semantic + perf metrics.  Writes
+the calibration time, the numpy version (absent from snapshots written
+before it was recorded), and per-scenario semantic + perf metrics.  Writes
 go through :func:`repro.ioutil.atomic_write_json`, so a crashed run can
 never leave a half-written snapshot for CI to trip over.
 """

@@ -40,24 +40,6 @@ def page_number(address: VirtualAddress, shift: int = BASE_PAGE_SHIFT) -> PageNu
     return address >> shift
 
 
-def page_offset(address: VirtualAddress, shift: int = BASE_PAGE_SHIFT) -> int:
-    """Return the byte offset of ``address`` within its page."""
-    check_virtual_address(address)
-    return address & ((1 << shift) - 1)
-
-
-def page_base(address: VirtualAddress, shift: int = BASE_PAGE_SHIFT) -> VirtualAddress:
-    """Return the first address of the page containing ``address``."""
-    check_virtual_address(address)
-    return address & ~((1 << shift) - 1)
-
-
-def is_huge_aligned(address: VirtualAddress) -> bool:
-    """True when ``address`` is 2MB-aligned (eligible to start a huge page)."""
-    check_virtual_address(address)
-    return address & ((1 << HUGE_PAGE_SHIFT) - 1) == 0
-
-
 @dataclass(frozen=True)
 class RadixIndices:
     """The four per-level indices of a virtual address, plus page offsets."""

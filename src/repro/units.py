@@ -59,13 +59,6 @@ def bytes_to_pages(num_bytes: int, page_size: int = BASE_PAGE_SIZE) -> int:
     return -(-num_bytes // page_size)
 
 
-def pages_to_bytes(num_pages: int, page_size: int = BASE_PAGE_SIZE) -> int:
-    """Return the byte size of ``num_pages`` pages."""
-    if num_pages < 0:
-        raise ValueError(f"negative page count: {num_pages}")
-    return num_pages * page_size
-
-
 def base_to_huge(base_page_number: int) -> int:
     """Map a 4KB page number to the 2MB page number containing it."""
     return base_page_number >> SUBPAGE_SHIFT

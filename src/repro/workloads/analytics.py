@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.units import SUBPAGES_PER_HUGE_PAGE
 from repro.workloads.base import Workload, pad_to_huge, static_rates
-from repro.workloads.distributions import spatial_layout
+from repro.workloads.distributions import layout_order
 
 
 def analytics_template(
@@ -63,11 +63,14 @@ def analytics_template(
     # The cold tail of the dataset gets a token rate, the warm dataset a
     # modest one, the working set the bulk.
     cold_mass, warm_mass, hot_mass = band_masses
+    order = layout_order(padded, rng)
     template = np.empty(padded)
     template[:cold_pages] = cold_mass / max(cold_pages, 1)
     template[cold_pages:dataset_pages] = warm_mass / max(dataset_pages - cold_pages, 1)
     template[dataset_pages:] = hot_mass / max(padded - dataset_pages, 1)
-    return spatial_layout(template, rng) * total_rate
+    laid = template[order]
+    laid *= total_rate
+    return laid
 
 
 class AnalyticsWorkload(Workload):

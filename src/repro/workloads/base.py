@@ -43,9 +43,12 @@ def static_rates(
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 1 or rates.size == 0:
         raise WorkloadError(f"{name}: rates must be a non-empty 1-D array")
-    # Keep this a boolean temporary: freeing it raises glibc's dynamic
-    # mmap threshold, which keeps the engine's per-epoch temporaries on
-    # the heap.  With ``rates.min()`` a paper-scale redis run faulted them
+    # Keep this a boolean temporary: freeing it (when glibc mapped it)
+    # raises glibc's dynamic mmap threshold, which keeps the engine's
+    # per-epoch temporaries on the heap.  A suite build frees its larger
+    # int32 layout permutation first, which raises it further; a vector
+    # drawn any other way has only this.  With ``rates.min()`` and no
+    # permutation freed, a paper-scale redis run faulted the temporaries
     # in afresh every epoch and ran up to 40% slower.
     if np.any(rates < 0):
         raise WorkloadError(f"{name}: rates must be non-negative")

@@ -26,12 +26,13 @@ import numpy as np
 from repro.errors import WorkloadError
 
 
-def spatial_layout(
-    rates: np.ndarray,
+def layout_order(
+    n: int,
     rng: np.random.Generator,
     mixing: float = 0.02,
 ) -> np.ndarray:
-    """Lay a popularity vector out in (virtual) address order.
+    """The permutation that lays an ``n``-page popularity vector out in
+    (virtual) address order: ``rates[layout_order(rates.size, rng)]``.
 
     A heap does not place same-temperature data contiguously, but nor does
     it scatter it uniformly: allocations exhibit locality.  A *uniform*
@@ -41,41 +42,53 @@ def spatial_layout(
     phenomenon of Figure 2 (a few hot 4KB lines inside a mostly-idle huge
     page).
 
-    This helper does the realistic middle thing: pages keep their rank
-    order up to Gaussian jitter of ``mixing * len(rates)`` positions, so
-    nearby 4KB pages have similar-but-not-identical temperature and a
-    small fraction of hot subpages lands inside cold huge pages.
+    This does the realistic middle thing: pages keep their rank order up
+    to Gaussian jitter of ``mixing * n`` positions, so nearby 4KB pages
+    have similar-but-not-identical temperature and a small fraction of hot
+    subpages lands inside cold huge pages.
+
+    The generators draw it before they allocate their rates, so a build
+    holds at most the rates, this int32 permutation (``n`` below 2**31;
+    the largest suite vector has 4.5M pages) and the gathered vector at
+    once (DESIGN.md, "Workload builds share their static vectors").
     """
     if mixing < 0:
         raise WorkloadError(f"mixing must be non-negative: {mixing}")
-    n = rates.size
     if n <= 1 or mixing == 0:
-        return rates
-    positions = np.arange(n, dtype=float) + mixing * n * rng.standard_normal(n)
+        return np.arange(n, dtype=np.int32)
+    positions = rng.standard_normal(n)
+    positions *= mixing * n
+    positions += np.arange(n, dtype=float)
     # Default (introsort) argsort: ~2.5x faster than kind="stable" on the
     # paper-scale 4.5M-element layouts, and permutation-identical because
     # the jittered positions are continuous draws (exact float ties have
-    # measure zero; tests/property/test_prop_kernels.py checks this for
-    # every registry workload).
-    return rates[np.argsort(positions)]
+    # measure zero; tests/property/test_prop_kernels.py checks it against
+    # kind="stable").
+    order = np.argsort(positions)
+    del positions  # before the int32 copy, so two arrays are live, not three
+    return order.astype(np.int32)
+
+
+def _shuffle_order(
+    num_pages: int, rng: np.random.Generator | None, shuffle: bool
+) -> np.ndarray | None:
+    """The generators' layout permutation, or None when not shuffling."""
+    if not shuffle:
+        return None
+    if rng is None:
+        raise WorkloadError("shuffle requires an rng")
+    return layout_order(num_pages, rng)
 
 
 def _finish(
-    rates: np.ndarray,
-    total_rate: float,
-    rng: np.random.Generator | None,
-    shuffle: bool,
-    mixing: float = 0.02,
+    rates: np.ndarray, total_rate: float, order: np.ndarray | None
 ) -> np.ndarray:
+    """Scale ``rates`` in place to ``total_rate`` and gather them by ``order``."""
     mass = rates.sum()
     if mass <= 0:
         raise WorkloadError("distribution has zero total mass")
-    rates = rates * (total_rate / mass)
-    if shuffle:
-        if rng is None:
-            raise WorkloadError("shuffle requires an rng")
-        rates = spatial_layout(rates, rng, mixing)
-    return rates
+    rates *= total_rate / mass
+    return rates if order is None else rates[order]
 
 
 def uniform_rates(num_pages: int, total_rate: float) -> np.ndarray:
@@ -102,9 +115,10 @@ def zipfian_rates(
         raise WorkloadError(f"num_pages must be positive: {num_pages}")
     if exponent <= 0:
         raise WorkloadError(f"exponent must be positive: {exponent}")
-    ranks = np.arange(1, num_pages + 1, dtype=float)
-    rates = ranks**-exponent
-    return _finish(rates, total_rate, rng, shuffle)
+    order = _shuffle_order(num_pages, rng, shuffle)
+    rates = np.arange(1, num_pages + 1, dtype=float)
+    rates **= -exponent
+    return _finish(rates, total_rate, order)
 
 
 def hotspot_rates(
@@ -156,6 +170,7 @@ def tiered_rates(
             f"bands must sum to 1.0 in both coordinates, got pages={page_sum} "
             f"mass={mass_sum}"
         )
+    order = _shuffle_order(num_pages, rng, shuffle)
     rates = np.empty(num_pages)
     start = 0
     for i, (page_fraction, mass_fraction) in enumerate(bands):
@@ -168,7 +183,7 @@ def tiered_rates(
         start = end
     if start < num_pages:
         rates[start:] = 0.0
-    return _finish(rates, total_rate, rng, shuffle)
+    return _finish(rates, total_rate, order)
 
 
 def exponential_decay_rates(
@@ -192,6 +207,11 @@ def exponential_decay_rates(
         raise WorkloadError(
             f"half_life_fraction must be positive: {half_life_fraction}"
         )
-    positions = np.arange(num_pages, dtype=float) / num_pages
-    rates = np.exp2(-positions / half_life_fraction)
-    return _finish(rates, total_rate, rng, shuffle)
+    order = _shuffle_order(num_pages, rng, shuffle)
+    # 2 ** (-(page / num_pages) / half_life_fraction), on one array.
+    rates = np.arange(num_pages, dtype=float)
+    rates /= num_pages
+    np.negative(rates, out=rates)
+    rates /= half_life_fraction
+    np.exp2(rates, out=rates)
+    return _finish(rates, total_rate, order)

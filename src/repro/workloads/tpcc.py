@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.workloads.base import RateModelWorkload
-from repro.workloads.distributions import spatial_layout
+from repro.workloads.distributions import layout_order
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ def build_tpcc_rates(
             f"table mix must sum to 1.0: footprint={footprint_sum} "
             f"traffic={traffic_sum}"
         )
+    order = layout_order(num_pages, rng) if shuffle else None
     rates = np.empty(num_pages)
     start = 0
     for i, table in enumerate(tables):
@@ -84,9 +85,7 @@ def build_tpcc_rates(
         if end > start:
             rates[start:end] = table.traffic_fraction * total_rate / (end - start)
         start = end
-    if shuffle:
-        rates = spatial_layout(rates, rng)
-    return rates
+    return rates if order is None else rates[order]
 
 
 class TpccWorkload(RateModelWorkload):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench.compare import compare_snapshots
@@ -194,3 +195,47 @@ class TestCli:
         assert main(["compare", out, bad]) == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
+
+
+def _write_snapshot(path, slowdown=0.01, **extra):
+    body = {**_snapshot(slowdown=slowdown), **extra}
+    del body["schema_version"]
+    return str(write_snapshot(path, body))
+
+
+class TestNumpyVersion:
+    def test_run_records_numpy_version(self, tmp_path, monkeypatch):
+        from repro.bench import scenarios
+        from repro.bench.cli import main
+
+        fake = Scenario("fake", "x", lambda: {"answer": 42.0})
+        monkeypatch.setattr(scenarios, "SCENARIOS", (fake,))
+        monkeypatch.setattr(scenarios, "calibration_seconds", lambda: 0.5)
+        out = tmp_path / "BENCH_np.json"
+        assert main(["run", "--scenario", "fake", "--out", str(out)]) == 0
+        snapshot = load_snapshot(out)
+        assert snapshot["schema_version"] == SCHEMA_VERSION == 1
+        assert snapshot["numpy"] == np.__version__
+
+    def test_compare_names_both_versions_unless_equal(self, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        unrecorded = _write_snapshot(tmp_path / "BENCH_u.json")
+        old = _write_snapshot(tmp_path / "BENCH_a.json", numpy="1.26.4")
+        new = _write_snapshot(tmp_path / "BENCH_b.json", numpy="2.4.6")
+        assert main(["compare", unrecorded, new]) == 0
+        assert "numpy: baseline not recorded, current 2.4.6" in capsys.readouterr().out
+        assert main(["compare", old, new]) == 0
+        assert "numpy: baseline 1.26.4, current 2.4.6" in capsys.readouterr().out
+        assert main(["compare", new, new]) == 0
+        assert "numpy" not in capsys.readouterr().out
+
+    def test_version_note_leaves_the_exit_status_alone(self, tmp_path, capsys):
+        from repro.bench.cli import main
+
+        old = _write_snapshot(tmp_path / "BENCH_a.json")
+        drifted = _write_snapshot(tmp_path / "BENCH_b.json", slowdown=9.0, numpy="2.4.6")
+        assert main(["compare", old, drifted]) == 1
+        out = capsys.readouterr().out
+        assert "numpy: baseline not recorded" in out
+        assert "FAIL" in out

@@ -29,21 +29,6 @@ class TestPageNumber:
         assert address.page_number(HUGE_PAGE_SIZE - 1, HUGE_PAGE_SHIFT) == 0
         assert address.page_number(HUGE_PAGE_SIZE, HUGE_PAGE_SHIFT) == 1
 
-    def test_page_offset(self):
-        assert address.page_offset(4097) == 1
-        assert address.page_offset(HUGE_PAGE_SIZE + 7, HUGE_PAGE_SHIFT) == 7
-
-    def test_page_base(self):
-        assert address.page_base(4097) == 4096
-        assert address.page_base(HUGE_PAGE_SIZE + 5, HUGE_PAGE_SHIFT) == HUGE_PAGE_SIZE
-
-
-class TestAlignment:
-    def test_huge_aligned(self):
-        assert address.is_huge_aligned(0)
-        assert address.is_huge_aligned(HUGE_PAGE_SIZE)
-        assert not address.is_huge_aligned(4096)
-
 
 class TestSplitVirtualAddress:
     def test_zero(self):

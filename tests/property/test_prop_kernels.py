@@ -1,7 +1,7 @@
 """Property tests pinning the vectorized hot-path kernels to their
 scalar references.
 
-Three contracts:
+Four contracts:
 
 * :func:`poison_scan_batch` consumes the *same RNG draws in the same
   order* as the scalar :func:`choose_poison_subpages` loop and poisons
@@ -16,6 +16,9 @@ Three contracts:
   the demotion cap and backpressure truncation rely on).
 * :class:`EpochProfile` is exact everywhere it answers (totals, resolved
   subpage rows) and refuses rows that were never drawn.
+* The rate-vector builds, which draw the layout permutation first and
+  scale in place, return the bytes of the stable-argsort layout of
+  their unshuffled rates.
 """
 
 import numpy as np
@@ -28,6 +31,16 @@ from repro.core.sampling import choose_poison_subpages, poison_scan_batch
 from repro.rng import make_rng
 from repro.sim.profile import EpochProfile
 from repro.units import SUBPAGES_PER_HUGE_PAGE
+from repro.workloads.analytics import analytics_template
+from repro.workloads.base import pad_to_huge
+from repro.workloads.distributions import (
+    exponential_decay_rates,
+    hotspot_rates,
+    layout_order,
+    tiered_rates,
+    zipfian_rates,
+)
+from repro.workloads.tpcc import build_tpcc_rates
 
 
 def _scalar_poison_scan(subpage_counts, max_poisoned, rng, use_prefilter, fault_cap):
@@ -319,25 +332,96 @@ class TestHierarchicalGeneration:
         assert np.array_equal(rows.sum(axis=1), profile.huge_counts()[[1, 4]])
 
 
+def _reference_positions(n, seed, mixing=0.02):
+    """``arange(n) + mixing * n * normal``, out of place, drawn from a
+    generator seeded ``seed``."""
+    normal = np.random.default_rng(seed).standard_normal(n)
+    return np.arange(n) + mixing * n * normal
+
+
+def _reference_order(n, seed, mixing=0.02):
+    """The reference layout permutation: a stable argsort of those positions."""
+    return np.argsort(_reference_positions(n, seed, mixing), kind="stable")
+
+
+def _same_bits(got, expected):
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 class TestSpatialLayoutTieFree:
     def test_default_argsort_equals_stable_reference(self):
         """The layout jitter is continuous, so the default (unstable)
         argsort gives the same permutation as kind="stable" — the
-        assumption behind dropping the slower stable sort."""
-        from repro.workloads.distributions import spatial_layout
-
+        assumption behind dropping the slower stable sort — and drawing
+        the positions in place moves no index."""
+        n = 5000
         for seed in range(25):
-            gen = np.random.default_rng(seed)
-            ref_gen = np.random.default_rng(seed)
-            n = 5000
-            rates = np.random.default_rng(seed + 1000).exponential(10.0, n)
-            out = spatial_layout(rates, gen, mixing=0.02)
-            positions = (
-                np.arange(n, dtype=float)
-                + 0.02 * n * ref_gen.standard_normal(n)
-            )
             # Continuous draws: no exact float ties, so every argsort
             # kind yields the same (unique) permutation.
-            assert np.unique(positions).size == n
-            ref = rates[np.argsort(positions, kind="stable")]
-            assert np.array_equal(out, ref)
+            assert np.unique(_reference_positions(n, seed)).size == n
+            order = layout_order(n, np.random.default_rng(seed), mixing=0.02)
+            assert np.array_equal(order, _reference_order(n, seed))
+
+
+#: Each generator as ``build(n, rng, shuffle)``; the tiered cases use
+#: Cassandra's and web-search's registry bands.
+GENERATORS = {
+    "zipfian": lambda n, rng, shuffle: zipfian_rates(
+        n, 777.0, rng=rng, shuffle=shuffle
+    ),
+    "zipfian-steep": lambda n, rng, shuffle: zipfian_rates(
+        n, 777.0, exponent=1.5, rng=rng, shuffle=shuffle
+    ),
+    "tiered": lambda n, rng, shuffle: tiered_rates(
+        n,
+        4.5e5,
+        bands=[(0.20, 0.000002), (0.30, 0.1333), (0.50, 0.866698)],
+        rng=rng,
+        shuffle=shuffle,
+    ),
+    "tiered-web-search": lambda n, rng, shuffle: tiered_rates(
+        n, 1.5e6, bands=[(0.40, 0.000001), (0.60, 0.999999)], rng=rng, shuffle=shuffle
+    ),
+    "hotspot": lambda n, rng, shuffle: hotspot_rates(
+        n, 3.0e6, hot_fraction=1e-3, hot_mass=0.9, rng=rng, shuffle=shuffle
+    ),
+    "exponential-decay": lambda n, rng, shuffle: exponential_decay_rates(
+        n, 1.4e6, half_life_fraction=0.2, rng=rng, shuffle=shuffle
+    ),
+    "tpcc": lambda n, rng, shuffle: build_tpcc_rates(n, 1.2e6, rng, shuffle=shuffle),
+}
+
+
+class TestPermutationFirstBuilds:
+    """The generators draw their layout permutation before their rates
+    and scale in place; what they return is bit-identical to laying out
+    their unshuffled rates by the reference permutation."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_shuffled_equals_unshuffled_laid_out(self, name, seed):
+        build = GENERATORS[name]
+        n = 4099  # not a whole number of 2MB pages
+        shuffled = build(n, np.random.default_rng(seed), True)
+        flat = build(n, np.random.default_rng(seed), False)
+        assert _same_bits(shuffled, flat[_reference_order(n, seed)])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "band_masses", [(0.005, 0.395, 0.60), (0.000002, 0.357998, 0.642)]
+    )
+    def test_analytics_template_equals_the_formula(self, band_masses, seed):
+        pages, total_rate = 3000, 5.0e5
+        padded = pad_to_huge(pages)
+        dataset_pages = int(0.6 * padded)
+        cold_pages = int(0.2 * dataset_pages)
+        cold_mass, warm_mass, hot_mass = band_masses
+        template = np.empty(padded)
+        template[:cold_pages] = cold_mass / cold_pages
+        template[cold_pages:dataset_pages] = warm_mass / (dataset_pages - cold_pages)
+        template[dataset_pages:] = hot_mass / (padded - dataset_pages)
+        expected = template[_reference_order(padded, seed)] * total_rate
+        got = analytics_template(
+            pages, total_rate, np.random.default_rng(seed), band_masses=band_masses
+        )
+        assert _same_bits(got, expected)

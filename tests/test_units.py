@@ -39,15 +39,6 @@ class TestBytesToPages:
             units.bytes_to_pages(-1)
 
 
-class TestPagesToBytes:
-    def test_roundtrip(self):
-        assert units.pages_to_bytes(units.bytes_to_pages(16384)) == 16384
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="negative page count"):
-            units.pages_to_bytes(-5)
-
-
 class TestPageNumberMapping:
     def test_base_to_huge(self):
         assert units.base_to_huge(0) == 0

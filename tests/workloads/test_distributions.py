@@ -7,7 +7,7 @@ from repro.errors import WorkloadError
 from repro.workloads.distributions import (
     exponential_decay_rates,
     hotspot_rates,
-    spatial_layout,
+    layout_order,
     tiered_rates,
     uniform_rates,
     zipfian_rates,
@@ -112,34 +112,44 @@ class TestExponentialDecay:
 class TestSpatialLayout:
     def test_preserves_multiset(self, rng):
         rates = np.arange(1000, dtype=float)
-        laid = spatial_layout(rates.copy(), rng)
+        laid = rates[layout_order(rates.size, rng)]
         assert np.allclose(np.sort(laid), rates)
 
     def test_preserves_locality(self, rng):
         """Nearby pages stay similar: rank displacement is bounded."""
         rates = np.arange(10_000, dtype=float)
-        laid = spatial_layout(rates.copy(), rng, mixing=0.02)
+        laid = rates[layout_order(rates.size, rng, mixing=0.02)]
         displacement = np.abs(np.argsort(laid) - np.arange(10_000))
         assert np.median(displacement) < 0.1 * 10_000
 
     def test_mixes_some_pages(self, rng):
         rates = np.arange(10_000, dtype=float)
-        laid = spatial_layout(rates.copy(), rng, mixing=0.02)
+        laid = rates[layout_order(rates.size, rng, mixing=0.02)]
         assert not np.array_equal(laid, rates)
 
     def test_zero_mixing_is_identity(self, rng):
         rates = np.arange(100, dtype=float)
-        assert np.array_equal(spatial_layout(rates.copy(), rng, mixing=0.0), rates)
+        assert np.array_equal(rates[layout_order(100, rng, mixing=0.0)], rates)
+
+    @pytest.mark.parametrize("n, mixing", [(0, 0.02), (1, 0.02), (100, 0.0)])
+    def test_identity_draws_nothing(self, n, mixing):
+        rng = np.random.default_rng(5)
+        order = layout_order(n, rng, mixing=mixing)
+        assert np.array_equal(order, np.arange(n))
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_permutation_is_int32(self, rng):
+        assert layout_order(10_000, rng).dtype == np.int32
 
     def test_huge_page_skew_survives(self, rng):
         """The property the Thermostat policy depends on: after layout, 2MB
         pages still have widely varying aggregate rates (a uniform shuffle
         would flatten them)."""
         per_page = np.concatenate([np.zeros(50_000), np.full(50_000, 10.0)])
-        laid = spatial_layout(per_page.copy(), rng, mixing=0.02)
+        laid = per_page[layout_order(per_page.size, rng, mixing=0.02)]
         huge = laid[: (laid.size // 512) * 512].reshape(-1, 512).sum(axis=1)
         assert huge.std() > 0.5 * huge.mean()
 
     def test_negative_mixing_rejected(self, rng):
         with pytest.raises(WorkloadError):
-            spatial_layout(np.ones(10), rng, mixing=-1.0)
+            layout_order(10, rng, mixing=-1.0)

@@ -1,5 +1,7 @@
 """Tests for the paper-suite workload registry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,23 @@ class TestSharedStaticVectors:
         assert workload._drifts_applied >= 1
         assert not np.shares_memory(static_vector(workload), table_vector)
         assert np.array_equal(table_vector, before)
+
+
+class TestBuildMemory:
+    """A build holds at most its rates, an int32 layout permutation and
+    the laid-out vector at once: 2.5x the stored vector (DESIGN.md,
+    "Workload builds share their static vectors")."""
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_peak_is_at_most_two_and_three_quarter_vectors(self, name, monkeypatch):
+        monkeypatch.setattr(registry, "_VECTORS", {})
+        make_workload(name, scale=0.1)  # first-use imports are not the build's
+        registry._VECTORS.clear()
+        tracemalloc.start()
+        try:
+            make_workload(name, scale=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (vector,) = registry._VECTORS.values()
+        assert peak <= 2.75 * vector.nbytes
